@@ -6,7 +6,6 @@
 module Platform = Clustersim.Platform
 module Dist_bnb = Clustersim.Dist_bnb
 module Solver = Bnb.Solver
-module Run_config = Compactphy.Run_config
 
 type row = {
   n : int;
@@ -27,8 +26,7 @@ let measure gen sizes datasets =
         List.init datasets (fun seed ->
             let m = gen ~seed:(seed + (1000 * n)) n in
             let run platform options =
-              let config = Run_config.with_solver options Run_config.default in
-              match Dist_bnb.run ~config ~max_expansions:budget platform m with
+              match Dist_bnb.run ~options ~max_expansions:budget platform m with
               | r -> Some r
               | exception Failure _ -> None
             in

@@ -11,6 +11,7 @@ module Compact_sets = Cgraph.Compact_sets
 module Newick = Ultra.Newick
 module Solver = Bnb.Solver
 module Kernel = Bnb.Kernel
+module Strategy = Bnb.Strategy
 module Pipeline = Compactphy.Pipeline
 module Run_config = Compactphy.Run_config
 module Budget = Bnb.Budget
@@ -277,15 +278,9 @@ let block_workers_opt =
            schedule.")
 
 let executor_opt =
-  let executor_conv =
-    Arg.enum
-      [
-        ("local", Executor.Local); ("sim", Executor.Sim); ("tcp", Executor.Tcp);
-      ]
-  in
   Arg.(
     value
-    & opt (some executor_conv) None
+    & opt (some (enum Executor.kind_names)) None
     & info [ "executor" ] ~docv:"BACKEND"
         ~doc:
           "Where block solves run: $(b,local) (this process — the \
@@ -372,30 +367,18 @@ let cache_max_bytes_opt =
            metric.  Unbounded when omitted.")
 
 let linkage_opt =
-  let linkage_conv =
-    Arg.enum
-      [ ("max", Decompose.Max); ("min", Decompose.Min); ("avg", Decompose.Avg) ]
-  in
   Arg.(
     value
-    & opt (some linkage_conv) None
+    & opt (some (enum Decompose.linkage_names)) None
     & info [ "linkage" ] ~docv:"KIND"
         ~doc:
           "Representative distance for small matrices: $(b,max) (the \
            paper's variant, the default), $(b,min) or $(b,avg).")
 
 let preset_opt =
-  let preset_conv =
-    Arg.enum
-      [
-        ("paper", Run_config.Paper);
-        ("fast", Run_config.Fast);
-        ("exhaustive", Run_config.Exhaustive);
-      ]
-  in
   Arg.(
     value
-    & opt (some preset_conv) None
+    & opt (some (enum Run_config.preset_names)) None
     & info [ "preset" ] ~docv:"NAME"
         ~doc:
           "Named configuration: $(b,paper) (the published sequential \
@@ -406,22 +389,9 @@ let preset_opt =
            both.")
 
 let kernel_opt =
-  let kernel_conv =
-    let parse s =
-      match Kernel.kind_of_string s with
-      | Some k -> Ok k
-      | None ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown kernel %S (expected reference or incremental)" s))
-    in
-    Arg.conv ~docv:"KERNEL"
-      (parse, fun ppf k -> Format.pp_print_string ppf (Kernel.kind_to_string k))
-  in
   Arg.(
     value
-    & opt (some kernel_conv) None
+    & opt (some (enum Kernel.kind_names)) None
     & info [ "kernel" ] ~docv:"KERNEL"
         ~doc:
           "Branch-and-bound expansion kernel: $(b,incremental) (score \
@@ -431,18 +401,9 @@ let kernel_opt =
            identical search tree.")
 
 let exploration_opt =
-  let exploration_conv =
-    Arg.enum
-      [
-        ("dfs", Solver.Dfs);
-        ("best-first", Solver.Best_first);
-        ("best_first", Solver.Best_first);
-        ("hybrid", Solver.Hybrid);
-      ]
-  in
   Arg.(
     value
-    & opt (some exploration_conv) None
+    & opt (some (enum Strategy.exploration_names)) None
     & info [ "exploration" ] ~docv:"STRATEGY"
         ~doc:
           "Exploration strategy: $(b,dfs) (the papers' depth-first \
@@ -453,20 +414,9 @@ let exploration_opt =
            memory.")
 
 let branching_opt =
-  let branching_conv =
-    Arg.enum
-      [
-        ("paper", Solver.Paper_order);
-        ("paper_order", Solver.Paper_order);
-        ("largest", Solver.Largest_first);
-        ("largest_first", Solver.Largest_first);
-        ("residual", Solver.Residual_lb);
-        ("residual_lb", Solver.Residual_lb);
-      ]
-  in
   Arg.(
     value
-    & opt (some branching_conv) None
+    & opt (some (enum Strategy.branching_names)) None
     & info [ "branching" ] ~docv:"ORDER"
         ~doc:
           "Branching (child-ordering) strategy: $(b,paper) (ascending \
@@ -501,41 +451,62 @@ let gap_opt =
            as $(b,certified_gap)).  $(b,0) (the default) keeps the \
            search exact, decision for decision.")
 
-(* Preset first, then explicit flags on top, so [--preset fast -j 1]
-   means "fast, but sequential inside each block". *)
-let build_config ?deadline ?max_nodes ?cancel ~preset ~kernel ~linkage ~workers
-    ~block_workers ?(exploration = None) ?(branching = None) ?(gap = None)
-    ?(executor = None) ?(workers_addr = None) ?(cache = None)
-    ?(cache_max_bytes = None) ?(run_id = None) ~progress () =
-  let apply v f cfg = match v with Some v -> f v cfg | None -> cfg in
-  Run_config.default
-  |> apply preset (fun p _ -> Run_config.of_preset p)
-  |> apply linkage Run_config.with_linkage
-  |> apply workers Run_config.with_workers
-  |> apply block_workers Run_config.with_block_workers
-  |> apply executor Run_config.with_executor
-  |> apply workers_addr Run_config.with_workers_addr
-  |> apply cache Run_config.with_cache_dir
-  |> apply cache_max_bytes Run_config.with_cache_max_bytes
-  |> apply run_id Run_config.with_run_id
-  |> apply kernel (fun k cfg ->
-         Run_config.with_solver
-           { cfg.Run_config.solver with Solver.kernel = k }
-           cfg)
-  |> apply exploration Run_config.with_exploration
-  |> apply branching Run_config.with_branching
-  |> apply gap Run_config.with_gap
-  |> apply deadline Run_config.with_deadline
-  |> apply max_nodes Run_config.with_max_nodes
-  |> apply cancel Run_config.with_cancel
-  |> apply progress Run_config.with_progress
-  |> fun cfg ->
-  (* Surface an incoherent flag combination (e.g. --executor tcp
-     without --workers-addr) as a usage error, not a backtrace. *)
-  (try Run_config.validate ~who:"phylo" cfg
-   with Invalid_argument msg ->
-     Fmt.epr "%s@." msg;
-     Stdlib.exit 124)
+let apply v f cfg = match v with Some v -> f v cfg | None -> cfg
+
+(* The run configuration every solving command shares.  Preset first,
+   then explicit flags on top, so [--preset fast -j 1] means "fast, but
+   sequential inside each block". *)
+let config_term =
+  let make preset kernel linkage workers block_workers exploration branching
+      gap cache cache_max_bytes deadline max_nodes =
+    Run_config.default
+    |> apply preset (fun p _ -> Run_config.of_preset p)
+    |> apply linkage Run_config.with_linkage
+    |> apply workers Run_config.with_workers
+    |> apply block_workers Run_config.with_block_workers
+    |> apply cache Run_config.with_cache_dir
+    |> apply cache_max_bytes Run_config.with_cache_max_bytes
+    |> apply kernel (fun k cfg ->
+           Run_config.with_solver
+             { cfg.Run_config.solver with Solver.kernel = k }
+             cfg)
+    |> apply exploration Run_config.with_exploration
+    |> apply branching Run_config.with_branching
+    |> apply gap Run_config.with_gap
+    |> apply deadline Run_config.with_deadline
+    |> apply max_nodes Run_config.with_max_nodes
+  in
+  Term.(
+    const make $ preset_opt $ kernel_opt $ linkage_opt $ workers_opt
+    $ block_workers_opt $ exploration_opt $ branching_opt $ gap_opt
+    $ cache_opt $ cache_max_bytes_opt $ deadline_opt $ max_nodes_opt)
+
+(* [config_term] plus the backend choice, for the commands that run one
+   pipeline per invocation ([serve] builds a coordinator per request,
+   so it has no use for them). *)
+let executor_config_term =
+  let set executor workers_addr cfg =
+    cfg
+    |> apply executor Run_config.with_executor
+    |> apply workers_addr Run_config.with_workers_addr
+  in
+  Term.(const set $ executor_opt $ workers_addr_opt $ config_term)
+
+(* Attach the runtime handles no flag spells — the progress sink and
+   trace id of [obs], and the SIGINT [cancel] flag — then surface an
+   incoherent flag combination (e.g. --executor tcp without
+   --workers-addr) as a usage error, not a backtrace. *)
+let finish_config ?cancel obs config =
+  let config =
+    config
+    |> apply obs.progress Run_config.with_progress
+    |> apply obs.run_id Run_config.with_run_id
+    |> apply cancel Run_config.with_cancel
+  in
+  try Run_config.validate ~who:"phylo" config
+  with Invalid_argument msg ->
+    Fmt.epr "%s@." msg;
+    Stdlib.exit 124
 
 (* First Ctrl-C flips the cancel flag the solvers poll cooperatively —
    the run winds down at a node boundary, reports status [cancelled]
@@ -569,7 +540,7 @@ let load_checkpoint path =
 let stamp_preset report preset =
   Obs.Report.set report "preset"
     (match preset with
-    | Some p -> Obs.Json.String (Run_config.preset_to_string p)
+    | Some p -> Obs.Json.enum Run_config.preset_names p
     | None -> Obs.Json.Null)
 
 (* --- --explain: human-readable search forensics --- *)
@@ -809,19 +780,13 @@ let tree_cmd =
             "Write the run manifest (phase timings, per-block search \
              counters, status, lower bound) as JSON to $(docv).")
   in
-  let run cfg input method_ preset kernel linkage workers block_workers
-      exploration branching gap executor workers_addr cache cache_max_bytes
-      deadline max_nodes checkpoint resume all nexus manifest explain output =
+  let run cfg input method_ preset config checkpoint resume all nexus manifest
+      explain output =
     check_writable manifest;
     check_writable checkpoint;
     with_obs cfg @@ fun () ->
     let cancel = install_sigint () in
-    let config =
-      build_config ?deadline ?max_nodes ~cancel ~preset ~kernel ~linkage
-        ~workers ~block_workers ~exploration ~branching ~gap ~executor
-        ~workers_addr ~cache ~cache_max_bytes ~run_id:cfg.run_id
-        ~progress:cfg.progress ()
-    in
+    let config = finish_config ~cancel cfg config in
     let names, m = read_matrix input in
     match (method_, all) with
     | `Exact, true ->
@@ -925,11 +890,9 @@ let tree_cmd =
     (Cmd.info "tree"
        ~doc:"Construct an ultrametric tree (Newick or NEXUS output).")
     Term.(
-      const run $ obs_term $ input_arg $ method_opt $ preset_opt $ kernel_opt
-      $ linkage_opt $ workers_opt $ block_workers_opt $ exploration_opt
-      $ branching_opt $ gap_opt $ executor_opt $ workers_addr_opt $ cache_opt
-      $ cache_max_bytes_opt $ deadline_opt $ max_nodes_opt $ checkpoint_arg
-      $ resume_arg $ all $ nexus $ manifest_arg $ explain_opt $ output_opt)
+      const run $ obs_term $ input_arg $ method_opt $ preset_opt
+      $ executor_config_term $ checkpoint_arg $ resume_arg $ all $ nexus
+      $ manifest_arg $ explain_opt $ output_opt)
 
 (* --- compare --- *)
 
@@ -954,18 +917,12 @@ let compare_cmd =
              is \"unendurable\"); capped runs report the best tree found \
              within the budget.")
   in
-  let run cfg input preset kernel linkage workers block_workers exploration
-      branching gap executor workers_addr cache deadline max_nodes cap manifest
-      explain =
+  let run cfg input preset config cap manifest explain =
     check_writable manifest;
     with_obs cfg @@ fun () ->
     let _, m = read_matrix input in
     let cancel = install_sigint () in
-    let config =
-      build_config ?deadline ?max_nodes ~cancel ~preset ~kernel ~linkage
-        ~workers ~block_workers ~exploration ~branching ~gap ~executor
-        ~workers_addr ~cache ~run_id:cfg.run_id ~progress:cfg.progress ()
-    in
+    let config = finish_config ~cancel cfg config in
     let config =
       match cap with
       | None -> config
@@ -1015,10 +972,8 @@ let compare_cmd =
     (Cmd.info "compare"
        ~doc:"Compare construction with and without compact sets.")
     Term.(
-      const run $ obs_term $ input_arg $ preset_opt $ kernel_opt $ linkage_opt
-      $ workers_opt $ block_workers_opt $ exploration_opt $ branching_opt
-      $ gap_opt $ executor_opt $ workers_addr_opt $ cache_opt $ deadline_opt
-      $ max_nodes_opt $ cap $ manifest $ explain_opt)
+      const run $ obs_term $ input_arg $ preset_opt $ executor_config_term
+      $ cap $ manifest $ explain_opt)
 
 (* --- render --- *)
 
@@ -1028,13 +983,9 @@ let render_cmd =
       value & flag
       & info [ "svg" ] ~doc:"Emit an SVG document instead of ASCII art.")
   in
-  let run cfg input method_ preset kernel linkage workers block_workers
-      exploration branching gap svg output =
+  let run cfg input method_ config svg output =
     with_obs cfg @@ fun () ->
-    let config =
-      build_config ~preset ~kernel ~linkage ~workers ~block_workers
-        ~exploration ~branching ~gap ~progress:cfg.progress ()
-    in
+    let config = finish_config cfg config in
     let names, m = read_matrix input in
     let tree =
       match method_ with
@@ -1056,9 +1007,8 @@ let render_cmd =
     (Cmd.info "render"
        ~doc:"Construct a tree and draw it as an ASCII or SVG dendrogram.")
     Term.(
-      const run $ obs_term $ input_arg $ method_opt $ preset_opt $ kernel_opt
-      $ linkage_opt $ workers_opt $ block_workers_opt $ exploration_opt
-      $ branching_opt $ gap_opt $ svg $ output_opt)
+      const run $ obs_term $ input_arg $ method_opt $ config_term $ svg
+      $ output_opt)
 
 (* --- treedist --- *)
 
@@ -1145,13 +1095,9 @@ let report_cmd =
           ~doc:"Emit a standalone HTML report (with an SVG dendrogram) \
                 instead of text.")
   in
-  let run cfg input preset kernel linkage workers block_workers exploration
-      branching gap html output =
+  let run cfg input config html output =
     with_obs cfg @@ fun () ->
-    let config =
-      build_config ~preset ~kernel ~linkage ~workers ~block_workers
-        ~exploration ~branching ~gap ~progress:cfg.progress ()
-    in
+    let config = finish_config cfg config in
     let names, m = read_matrix input in
     let n = Dist_matrix.size m in
     if html then begin
@@ -1202,9 +1148,7 @@ let report_cmd =
          "Full analysis report of a matrix (markdown-flavoured text, or \
           HTML with $(b,--html)).")
     Term.(
-      const run $ obs_term $ input_arg $ preset_opt $ kernel_opt $ linkage_opt
-      $ workers_opt $ block_workers_opt $ exploration_opt $ branching_opt
-      $ gap_opt $ html $ output_opt)
+      const run $ obs_term $ input_arg $ config_term $ html $ output_opt)
 
 (* --- align (the sequences model, from FASTA) --- *)
 
@@ -1236,7 +1180,7 @@ let align_cmd =
           ~doc:"With $(b,--tree): annotate clades with $(docv)-replicate \
                 bootstrap support.")
   in
-  let run cfg fasta matrix_out with_tree bootstrap workers output =
+  let run cfg fasta matrix_out with_tree bootstrap config output =
     with_obs cfg @@ fun () ->
     let entries = Seqsim.Fasta.read_file fasta in
     let names = Array.of_list (List.map (fun e -> e.Seqsim.Fasta.name) entries) in
@@ -1253,11 +1197,7 @@ let align_cmd =
     | Some path -> Matrix_io.write_file path (Matrix_io.to_phylip ~names m)
     | None -> ());
     if with_tree then begin
-      let config =
-        build_config ~preset:None ~kernel:None ~linkage:None ~workers
-          ~block_workers:None ~progress:cfg.progress ()
-      in
-      let r = Pipeline.with_compact_sets ~config m in
+      let r = Pipeline.with_compact_sets ~config:(finish_config cfg config) m in
       Buffer.add_string buf
         (Newick.to_string ~names r.Pipeline.tree ^ "\n");
       if bootstrap > 0 then begin
@@ -1297,7 +1237,7 @@ let align_cmd =
           support.")
     Term.(
       const run $ obs_term $ fasta_arg $ matrix_out $ with_tree $ bootstrap
-      $ workers_opt $ output_opt)
+      $ config_term $ output_opt)
 
 (* --- obs: manifest diffing and the perf-regression gate --- *)
 
@@ -1790,9 +1730,7 @@ let serve_cmd =
             "Concurrent solves (the persistent domain pool's size; \
              default: the configuration's block workers).")
   in
-  let run cfg preset kernel linkage workers block_workers exploration
-      branching gap cache cache_max_bytes deadline max_nodes port host socket
-      pool_workers =
+  let run cfg config port host socket pool_workers =
     with_obs cfg @@ fun () ->
     let cancel = install_sigint () in
     (* A daemon should log its accesses: raise the listener's source to
@@ -1800,13 +1738,9 @@ let serve_cmd =
        shows at default verbosity.  -q still silences it. *)
     if Logs.level () <> None then
       Logs.Src.set_level Obs.Serve.src (Some Logs.Info);
-    (* No [run_id] here: each /solve request mints its own request id
+    (* Each /solve request replaces the run id with its own request id
        as the trace context (see Server). *)
-    let config =
-      build_config ?deadline ?max_nodes ~cancel ~preset ~kernel ~linkage
-        ~workers ~block_workers ~exploration ~branching ~gap ~cache
-        ~cache_max_bytes ~progress:cfg.progress ()
-    in
+    let config = finish_config ~cancel cfg config in
     if port <> None && socket <> None then begin
       Fmt.epr "phylo serve: give either --port or --socket, not both@.";
       exit 1
@@ -1839,18 +1773,13 @@ let serve_cmd =
           across requests, plus the /metrics, /healthz and /status \
           telemetry endpoints.")
     Term.(
-      const run $ obs_term $ preset_opt $ kernel_opt $ linkage_opt
-      $ workers_opt $ block_workers_opt $ exploration_opt $ branching_opt
-      $ gap_opt $ cache_opt $ cache_max_bytes_opt $ deadline_opt
-      $ max_nodes_opt $ port $ host $ socket $ pool_workers)
+      const run $ obs_term $ config_term $ port $ host $ socket
+      $ pool_workers)
 
 let () =
   let doc =
     "Fast evolutionary-tree construction with compact sets (PaCT 2005)."
   in
-  (* Wire the simulator into [--executor sim]: Clustersim depends on
-     Compactphy, so the backend registers itself at program start. *)
-  Clustersim.Sim_exec.register ();
   exit
     (Cmd.eval
        (Cmd.group

@@ -2,14 +2,7 @@ open Import
 
 type kind = Reference | Incremental
 
-let kind_to_string = function
-  | Reference -> "reference"
-  | Incremental -> "incremental"
-
-let kind_of_string = function
-  | "reference" -> Some Reference
-  | "incremental" -> Some Incremental
-  | _ -> None
+let kind_names = [ ("reference", Reference); ("incremental", Incremental) ]
 
 type t = {
   data : float array;  (* backing store of the prepared matrix *)

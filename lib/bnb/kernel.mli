@@ -27,10 +27,9 @@ type kind =
   | Incremental
       (** score first, realise only un-pruned children (this module) *)
 
-val kind_to_string : kind -> string
-
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string}; [None] on unknown names. *)
+val kind_names : (string * kind) list
+(** Spelling table (see {!Obs.Json.enum}): ["reference"],
+    ["incremental"]. *)
 
 type t
 (** Per-problem kernel state: the validated flat backing store of the

@@ -8,24 +8,23 @@ module Log = (val Logs.src_log src : Logs.LOG)
    flushed once per solve from the run's Stats — zero cost in the inner
    loop; the histograms record the per-solve distribution. *)
 module M = struct
-  let solves = lazy (Obs.Metrics.counter "bnb.solves")
-  let expanded = lazy (Obs.Metrics.counter "bnb.expanded")
-  let generated = lazy (Obs.Metrics.counter "bnb.generated")
-  let pruned = lazy (Obs.Metrics.counter "bnb.pruned")
-  let pruned_33 = lazy (Obs.Metrics.counter "bnb.pruned_33")
-  let ub_updates = lazy (Obs.Metrics.counter "bnb.ub_updates")
-  let expanded_per_solve = lazy (Obs.Metrics.histogram "bnb.expanded_per_solve")
-  let solve_ms = lazy (Obs.Metrics.histogram "bnb.solve_ms")
-  let max_open = lazy (Obs.Metrics.histogram "bnb.max_open_per_solve")
+  let solves = Obs.Metrics.counter "bnb.solves"
+  let expanded = Obs.Metrics.counter "bnb.expanded"
+  let generated = Obs.Metrics.counter "bnb.generated"
+  let pruned = Obs.Metrics.counter "bnb.pruned"
+  let pruned_33 = Obs.Metrics.counter "bnb.pruned_33"
+  let ub_updates = Obs.Metrics.counter "bnb.ub_updates"
+  let expanded_per_solve = Obs.Metrics.histogram "bnb.expanded_per_solve"
+  let solve_ms = Obs.Metrics.histogram "bnb.solve_ms"
+  let max_open = Obs.Metrics.histogram "bnb.max_open_per_solve"
 
   let pruned_by_reason =
-    lazy
-      (List.map
-         (fun r ->
-           ( r,
-             Obs.Metrics.counter
-               ("bnb.pruned." ^ Obs.Attribution.reason_to_string r) ))
-         Obs.Attribution.reasons)
+    List.map
+      (fun r ->
+        ( r,
+          Obs.Metrics.counter
+            ("bnb.pruned." ^ Obs.Attribution.reason_to_string r) ))
+      Obs.Attribution.reasons
 
   (* Last values already pushed to the counters for the current solve.
      Mid-run scrapes of /metrics would otherwise see nothing until the
@@ -54,7 +53,7 @@ module M = struct
 
   let flush_live lv (stats : Stats.t) =
     let bump c v last =
-      if v > last then Obs.Metrics.add (Lazy.force c) (v - last);
+      if v > last then Obs.Metrics.add c (v - last);
       v
     in
     lv.l_expanded <- bump expanded stats.Stats.expanded lv.l_expanded;
@@ -67,23 +66,36 @@ module M = struct
         let v = Obs.Attribution.total stats.Stats.att r in
         if v > lv.l_reason.(i) then Obs.Metrics.add c (v - lv.l_reason.(i));
         lv.l_reason.(i) <- v)
-      (Lazy.force pruned_by_reason)
+      pruned_by_reason
 
   let flush lv (stats : Stats.t) elapsed_s =
-    Obs.Metrics.incr (Lazy.force solves);
+    Obs.Metrics.incr solves;
     flush_live lv stats;
-    Obs.Metrics.observe
-      (Lazy.force expanded_per_solve)
-      (float_of_int stats.Stats.expanded);
-    Obs.Metrics.observe (Lazy.force max_open)
-      (float_of_int stats.Stats.max_open);
-    Obs.Metrics.observe (Lazy.force solve_ms) (elapsed_s *. 1e3);
+    Obs.Metrics.observe expanded_per_solve (float_of_int stats.Stats.expanded);
+    Obs.Metrics.observe max_open (float_of_int stats.Stats.max_open);
+    Obs.Metrics.observe solve_ms (elapsed_s *. 1e3);
     Obs.Attribution.flush stats.Stats.att
 end
 
 type lb_kind = LB0 | LB1
 type mode33 = Off | Third_only | Every_insertion
 type initial_ub = Upgmm_ub | Upgma_ub | Nj_ub | No_heuristic_ub
+
+let lb_names = [ ("lb0", LB0); ("lb1", LB1) ]
+
+let mode33_names =
+  [
+    ("off", Off); ("third_only", Third_only); ("every_insertion", Every_insertion);
+  ]
+
+let initial_ub_names =
+  [
+    ("upgmm", Upgmm_ub);
+    ("upgma", Upgma_ub);
+    ("nj", Nj_ub);
+    ("none", No_heuristic_ub);
+  ]
+
 type search_order = Strategy.exploration = Dfs | Best_first | Hybrid
 type branch_order = Strategy.branching = Paper_order | Largest_first | Residual_lb
 

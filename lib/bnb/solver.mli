@@ -24,6 +24,18 @@ type initial_ub =
   | Nj_ub  (** neighbor-joining topology, re-realised *)
   | No_heuristic_ub  (** start from an infinite upper bound *)
 
+(** Spelling tables (see {!Obs.Json.enum}) — the names run manifests,
+    the wire protocol, cache keys and the CLI use. *)
+
+val lb_names : (string * lb_kind) list
+(** ["lb0"], ["lb1"]. *)
+
+val mode33_names : (string * mode33) list
+(** ["off"], ["third_only"], ["every_insertion"]. *)
+
+val initial_ub_names : (string * initial_ub) list
+(** ["upgmm"], ["upgma"], ["nj"], ["none"]. *)
+
 type search_order = Strategy.exploration =
   | Dfs
       (** depth-first with children in ascending-LB order — the papers'

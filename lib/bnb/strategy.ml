@@ -9,27 +9,23 @@ open Import
 type exploration = Dfs | Best_first | Hybrid
 type branching = Paper_order | Largest_first | Residual_lb
 
-let exploration_to_string = function
-  | Dfs -> "dfs"
-  | Best_first -> "best_first"
-  | Hybrid -> "hybrid"
+let exploration_names =
+  [
+    ("dfs", Dfs);
+    ("best_first", Best_first);
+    ("hybrid", Hybrid);
+    ("best-first", Best_first);
+  ]
 
-let exploration_of_string = function
-  | "dfs" -> Some Dfs
-  | "best_first" | "best-first" -> Some Best_first
-  | "hybrid" -> Some Hybrid
-  | _ -> None
-
-let branching_to_string = function
-  | Paper_order -> "paper_order"
-  | Largest_first -> "largest_first"
-  | Residual_lb -> "residual_lb"
-
-let branching_of_string = function
-  | "paper_order" | "paper" -> Some Paper_order
-  | "largest_first" | "largest" -> Some Largest_first
-  | "residual_lb" | "residual" -> Some Residual_lb
-  | _ -> None
+let branching_names =
+  [
+    ("paper_order", Paper_order);
+    ("largest_first", Largest_first);
+    ("residual_lb", Residual_lb);
+    ("paper", Paper_order);
+    ("largest", Largest_first);
+    ("residual", Residual_lb);
+  ]
 
 (* --- branching: child ordering --- *)
 

@@ -34,14 +34,13 @@ type branching =
           first — anti-greedy, front-loads pruning of expensive
           subtrees *)
 
-val exploration_to_string : exploration -> string
-val exploration_of_string : string -> exploration option
-(** Accepts ["dfs"], ["best_first"] (or ["best-first"]), ["hybrid"]. *)
+val exploration_names : (string * exploration) list
+(** Spelling table (see {!Obs.Json.enum}): ["dfs"], ["best_first"],
+    ["hybrid"], then the alias ["best-first"]. *)
 
-val branching_to_string : branching -> string
-val branching_of_string : string -> branching option
-(** Accepts ["paper_order"]/["paper"], ["largest_first"]/["largest"],
-    ["residual_lb"]/["residual"]. *)
+val branching_names : (string * branching) list
+(** Spelling table: ["paper_order"], ["largest_first"], ["residual_lb"],
+    then the aliases ["paper"], ["largest"], ["residual"]. *)
 
 val order_children :
   branching -> inserted:int -> Bb_tree.node list -> Bb_tree.node list

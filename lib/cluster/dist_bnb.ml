@@ -40,12 +40,8 @@ type master = {
 
 exception Expansion_budget_exceeded
 
-let run ?config ?(max_expansions = 30_000_000) platform dm =
-  let options =
-    match config with
-    | Some c -> (Run_config.validate ~who:"Dist_bnb.run" c).Run_config.solver
-    | None -> Solver.default_options
-  in
+let run ?(options = Solver.default_options) ?(max_expansions = 30_000_000)
+    platform dm =
   let n = Dist_matrix.size dm in
   let p = Platform.n_slaves platform in
   if n <= 2 then begin
@@ -352,6 +348,6 @@ let run ?config ?(max_expansions = 30_000_000) platform dm =
       stats;
     }
 
-let speedup ?config base par dm =
-  let b = run ?config base dm and q = run ?config par dm in
+let speedup ?options base par dm =
+  let b = run ?options base dm and q = run ?options par dm in
   if q.makespan <= 0. then 1. else b.makespan /. q.makespan

@@ -36,23 +36,21 @@ val src : Logs.src
 (** Log source ["compactphy.distbnb"]. *)
 
 val run :
-  ?config:Run_config.t ->
+  ?options:Solver.options ->
   ?max_expansions:int ->
   Platform.t ->
   Dist_matrix.t ->
   result
-(** Simulate one construction.  Solver knobs come from [?config]'s
-    [solver] field (validated; the pipeline-only fields are ignored).
-    Callers that used the removed legacy [?options] argument should
-    pass [~config:(Run_config.with_solver options Run_config.default)].
-    [max_expansions] (default 30 million) guards against runaway
-    searches.
-    @raise Failure if the guard is hit.
-    @raise Invalid_argument if the configuration fails
-    {!Run_config.validate}. *)
+(** Simulate one construction under [options] (default
+    {!Solver.default_options}; build others with the validating
+    {!Solver.options}).  This is all the simulator reads of a run's
+    configuration, so the pipeline's [Executor.sim] backend calls it
+    directly with each block job's options.  [max_expansions] (default
+    30 million) guards against runaway searches.
+    @raise Failure if the guard is hit. *)
 
 val speedup :
-  ?config:Run_config.t ->
+  ?options:Solver.options ->
   Platform.t ->
   Platform.t ->
   Dist_matrix.t ->

@@ -5,5 +5,3 @@ module Utree = Ultra.Utree
 module Bb_tree = Bnb.Bb_tree
 module Solver = Bnb.Solver
 module Stats = Bnb.Stats
-module Run_config = Compactphy.Run_config
-module Executor = Compactphy.Executor

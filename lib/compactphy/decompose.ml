@@ -2,6 +2,8 @@ open Import
 
 type linkage = Max | Min | Avg
 
+let linkage_names = [ ("max", Max); ("min", Min); ("avg", Avg) ]
+
 type block = { children : Laminar.tree list; small : Dist_matrix.t }
 
 type t = {

@@ -13,6 +13,9 @@ type linkage = Max | Min | Avg
 (** Which representative distance a small matrix stores between two
     children (over all member pairs crossing them). *)
 
+val linkage_names : (string * linkage) list
+(** Spelling table (see {!Obs.Json.enum}): ["max"], ["min"], ["avg"]. *)
+
 type block = {
   children : Laminar.tree list;  (** the block's "species" *)
   small : Dist_matrix.t;  (** its [k * k] representative matrix *)

@@ -6,13 +6,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type kind = Local | Sim | Tcp
 
-let kind_to_string = function Local -> "local" | Sim -> "sim" | Tcp -> "tcp"
-
-let kind_of_string = function
-  | "local" -> Some Local
-  | "sim" -> Some Sim
-  | "tcp" -> Some Tcp
-  | _ -> None
+let kind_names = [ ("local", Local); ("sim", Sim); ("tcp", Tcp) ]
 
 (* "HOST:PORT" (or a bare port) for the TCP pool.  Unlike
    [Obs.Serve.target_of_string] this accepts port 0 — bind-time
@@ -88,9 +82,9 @@ let trivially_solved tree =
 (* --- content-addressed sub-solve cache hook ---
 
    The cache itself (Subsolve_cache) sits above this module — it needs
-   the wire codecs and Run_config's manifest spellings — so the solve
-   core reaches it through an installed hook, the same late-binding
-   trick the sim backend uses.  The gating lives here, in one place:
+   the wire codecs, which are written against this module's job type —
+   so the solve core reaches it through an installed hook.  The gating
+   lives here, in one place:
    only jobs that opted in ([j_cache]), with no resume state, over a
    non-trivial matrix, consult the hook; only certified ([Exact])
    results that did not themselves come from the cache are offered
@@ -144,13 +138,70 @@ let frontier_out matrix = function
         (fun (nd : Bb_tree.node) -> Utree.relabel (fun r -> p.(r)) nd.tree)
         frontier
 
-(* The one solve every executor shares: the sequential solver, or the
-   domain-parallel one when the job's intra-solve budget allows.  A
-   resumed-and-finished block skips the solve entirely; an interrupted
-   one continues from its frontier.  Cache-opted jobs consult the
-   installed sub-solve cache first and offer their certified result
-   back afterwards. *)
-let solve_job ~monitor ?progress job =
+(* The search itself: the sequential solver, or the domain-parallel one
+   when the job's intra-solve budget allows — or, for the sim backend,
+   the master/slave cluster simulator on a [j_workers]-slave cluster. *)
+let search ~sim ~monitor ?progress ?resume job =
+  let small = job.j_matrix in
+  let options = job.j_options in
+  if sim then begin
+    if resume <> None then
+      Log.info (fun m ->
+          m "sim backend cannot resume a frontier; re-solving block %d"
+            job.j_id);
+    (* The simulator always runs a block to its optimum (it has no
+       budget hooks and no frontier); the monitor is charged with the
+       simulated expansions on completion, the same coarse accounting
+       the TCP executor uses for remote work. *)
+    let platform = Platform.cluster (Int.max 1 job.j_workers) in
+    let r = Dist_bnb.run ~options platform small in
+    Budget.charge monitor r.Dist_bnb.expansions;
+    {
+      s_stats = r.Dist_bnb.stats;
+      s_tree = r.Dist_bnb.tree;
+      s_status = Budget.Exact;
+      s_lb = r.Dist_bnb.cost;
+      s_gap = 0.;
+      s_optimal = true;
+      s_frontier = [];
+      s_from_cache = false;
+    }
+  end
+  else if job.j_workers <= 1 then begin
+    let r = Solver.solve ~options ~monitor ?resume ?progress small in
+    {
+      s_stats = r.Solver.stats;
+      s_tree = r.Solver.tree;
+      s_status = r.Solver.status;
+      s_lb = r.Solver.lower_bound;
+      s_gap = r.Solver.certified_gap;
+      s_optimal = r.Solver.optimal;
+      s_frontier = frontier_out small r.Solver.frontier;
+      s_from_cache = false;
+    }
+  end
+  else begin
+    let r =
+      Par_bnb.solve ~options ~monitor ?resume ?progress
+        ~n_workers:job.j_workers small
+    in
+    {
+      s_stats = r.Par_bnb.stats;
+      s_tree = r.Par_bnb.tree;
+      s_status = r.Par_bnb.status;
+      s_lb = r.Par_bnb.lower_bound;
+      s_gap = r.Par_bnb.certified_gap;
+      s_optimal = r.Par_bnb.optimal;
+      s_frontier = frontier_out small r.Par_bnb.frontier;
+      s_from_cache = false;
+    }
+  end
+
+(* The one solve every executor shares.  A resumed-and-finished block
+   skips the search entirely; an interrupted one continues from its
+   frontier.  Cache-opted jobs consult the installed sub-solve cache
+   first and offer their certified result back afterwards. *)
+let solve ~sim ~monitor ?progress job =
   match cache_lookup job with
   | Some sv -> sv
   | None -> (
@@ -163,44 +214,12 @@ let solve_job ~monitor ?progress job =
             let resume =
               match rs with Some (`Restart r) -> Some r | _ -> None
             in
-            let small = job.j_matrix in
-            let options = job.j_options in
-            let sv =
-              if job.j_workers <= 1 then begin
-                let r =
-                  Solver.solve ~options ~monitor ?resume ?progress small
-                in
-                {
-                  s_stats = r.Solver.stats;
-                  s_tree = r.Solver.tree;
-                  s_status = r.Solver.status;
-                  s_lb = r.Solver.lower_bound;
-                  s_gap = r.Solver.certified_gap;
-                  s_optimal = r.Solver.optimal;
-                  s_frontier = frontier_out small r.Solver.frontier;
-                  s_from_cache = false;
-                }
-              end
-              else begin
-                let r =
-                  Par_bnb.solve ~options ~monitor ?resume ?progress
-                    ~n_workers:job.j_workers small
-                in
-                {
-                  s_stats = r.Par_bnb.stats;
-                  s_tree = r.Par_bnb.tree;
-                  s_status = r.Par_bnb.status;
-                  s_lb = r.Par_bnb.lower_bound;
-                  s_gap = r.Par_bnb.certified_gap;
-                  s_optimal = r.Par_bnb.optimal;
-                  s_frontier = frontier_out small r.Par_bnb.frontier;
-                  s_from_cache = false;
-                }
-              end
-            in
+            let sv = search ~sim ~monitor ?progress ?resume job in
             cache_store job sv;
             sv
           end)
+
+let solve_job ~monitor ?progress job = solve ~sim:false ~monitor ?progress job
 
 let job_monitor ~monitor job =
   (* A job with its own node share solves under a child monitor, so
@@ -226,14 +245,14 @@ let span_args ?(extra = []) job =
    [job.queue] and a [job.solve] span tagged with its job id (and trace
    id when the run minted one); with tracing off the extra work is one
    atomic load. *)
-let run_job ~monitor ?progress ~t0 job =
+let run ~sim ~monitor ?progress ~t0 job =
   let queue_wait_s = Obs.Clock.elapsed_s t0 in
   let bmon = job_monitor ~monitor job in
   Obs.Recorder.emit_ambient
     (Obs.Events.Block_start { id = job.j_id; size = job.j_size });
   let solve_start_ns = Obs.Clock.now_ns () in
   let sv, solve_s =
-    Obs.Clock.time (fun () -> solve_job ~monitor:bmon ?progress job)
+    Obs.Clock.time (fun () -> solve ~sim ~monitor:bmon ?progress job)
   in
   (match Obs.Span.installed () with
   | None -> ()
@@ -262,20 +281,24 @@ let run_job ~monitor ?progress ~t0 job =
        });
   { o_job = job.j_id; o_solved = sv; o_queue_wait_s = queue_wait_s; o_solve_s = solve_s }
 
-(* --- Local: the calling domain, or a Domain_pool --- *)
+let run_job ~monitor ?progress ~t0 job =
+  run ~sim:false ~monitor ?progress ~t0 job
 
-let local ~capacity ~monitor ?progress () =
+(* --- In-process backends: the calling domain, or a Domain_pool --- *)
+
+let in_process ~name ~sim ~capacity ~monitor ?progress () =
   let capacity = Int.max 1 capacity in
   let t0 = Obs.Clock.counter () in
+  let run_job job = run ~sim ~monitor ?progress ~t0 job in
   if capacity = 1 then
     (* Jobs run eagerly at submission, in submission order — exactly the
        sequential schedule, with no domain spawned. *)
     {
-      name = "local";
+      name;
       capacity = (fun () -> capacity);
       submit =
         (fun job ->
-          let o = run_job ~monitor ?progress ~t0 job in
+          let o = run_job job in
           { await = (fun () -> o) });
       cancel = ignore;
       shutdown = ignore;
@@ -283,30 +306,20 @@ let local ~capacity ~monitor ?progress () =
   else begin
     let pool = Domain_pool.create ~n_workers:capacity in
     {
-      name = "local";
+      name;
       capacity = (fun () -> capacity);
       submit =
         (fun job ->
-          let fut =
-            Domain_pool.submit pool (fun () -> run_job ~monitor ?progress ~t0 job)
-          in
+          let fut = Domain_pool.submit pool (fun () -> run_job job) in
           { await = (fun () -> Domain_pool.await fut) });
       cancel = (fun () -> Domain_pool.cancel pool);
       shutdown = (fun () -> Domain_pool.shutdown pool);
     }
   end
 
-(* --- Sim: registered by Clustersim, which depends on this library --- *)
+let local ~capacity ~monitor ?progress () =
+  in_process ~name:"local" ~sim:false ~capacity ~monitor ?progress ()
 
-type sim_factory = monitor:Budget.monitor -> workers:int -> t
-
-let sim_factory : sim_factory option ref = ref None
-let register_sim f = sim_factory := Some f
-
-let sim ~monitor ~workers =
-  match !sim_factory with
-  | Some f -> f ~monitor ~workers
-  | None ->
-      failwith
-        "Executor.sim: no cluster simulator registered (call \
-         Clustersim.Sim_exec.register () first)"
+(* The discrete-event simulator is single-threaded, so the sim backend
+   runs its jobs eagerly, in submission order. *)
+let sim ~monitor = in_process ~name:"sim" ~sim:true ~capacity:1 ~monitor ()

@@ -15,8 +15,9 @@ open Import
     - {!local} — the calling domain ([capacity = 1]) or a
       [Parbnb.Domain_pool]; the default, bit-identical to the historical
       in-process pipeline.
-    - {!sim} — the cluster simulator, registered by [Clustersim.Sim_exec]
-      (which depends on this library, so the wiring is a factory hook).
+    - {!sim} — the master/slave cluster simulator
+      ({!Clustersim.Dist_bnb}), through the same {!run_job} envelope as
+      {!local}.
     - [Net_exec.coordinator] — a real TCP worker pool (see {!Net_exec}).
 
     Every implementation emits [Block_start]/[Block_finish] events into
@@ -26,11 +27,9 @@ open Import
 type kind = Local | Sim | Tcp
 (** Which backend a {!Run_config} selects. *)
 
-val kind_to_string : kind -> string
-(** ["local"], ["sim"] or ["tcp"] — the CLI / manifest spelling. *)
-
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string}; [None] on unknown names. *)
+val kind_names : (string * kind) list
+(** Spelling table (see {!Obs.Json.enum}): ["local"], ["sim"],
+    ["tcp"]. *)
 
 val parse_addr : string -> (string * int, string) result
 (** Parse a TCP pool address: ["HOST:PORT"], [":PORT"] or a bare port
@@ -112,11 +111,13 @@ val src : Logs.src
 (** {2 Sub-solve cache hook}
 
     The content-addressed cache ({!Subsolve_cache}) lives above this
-    module, so the solve core reaches it through an installed hook —
-    the same late-binding wiring as the sim backend.  Backends that do
-    not run {!solve_job} (the simulator) call {!cache_lookup} /
-    {!cache_store} around their own solve so every backend honours a
-    job's [j_cache] opt-in identically. *)
+    module, so the solve core reaches it through an installed hook.
+    {!solve_job} (and so every backend) consults it only for a job
+    that opted in ([j_cache]), carries no resume state and spans at
+    least two species, and offers back only certified ([Budget.Exact])
+    results that were not themselves cache replays — budget-interrupted
+    outcomes are never admitted.  Hook failures are logged and treated
+    as misses. *)
 
 type cache_hook = {
   c_lookup : job -> solved option;
@@ -130,18 +131,6 @@ type cache_hook = {
 val set_cache_hook : cache_hook option -> unit
 (** Install (or clear) the process-wide cache hook; last wins. *)
 
-val cache_lookup : job -> solved option
-(** Consult the installed hook — [None] (a miss) unless the job opted
-    in ([j_cache]), carries no resume state, spans at least two species
-    and the hook has a certified entry.  Hook failures are logged and
-    reported as misses. *)
-
-val cache_store : job -> solved -> unit
-(** Offer a result to the installed hook.  No-op unless the job is
-    cacheable (as in {!cache_lookup}), the result is certified
-    ([Budget.Exact]) and not itself a cache replay — budget-interrupted
-    outcomes are never admitted. *)
-
 (** {2 Shared execution core} *)
 
 val solve_job :
@@ -149,8 +138,8 @@ val solve_job :
 (** Solve one job in the calling domain under [monitor] — the one
     search both the in-process backends and a remote worker run.  No
     events, no timing: callers wrap it.  Consults the installed
-    sub-solve cache first ({!cache_lookup}) and offers the certified
-    result back afterwards ({!cache_store}). *)
+    sub-solve cache first and offers the certified result back
+    afterwards. *)
 
 val job_monitor : monitor:Budget.monitor -> job -> Budget.monitor
 (** The monitor a job solves under: [monitor] itself, or a
@@ -176,13 +165,12 @@ val local :
     larger capacities run jobs over a [Parbnb.Domain_pool] in
     submission order. *)
 
-val sim : monitor:Budget.monitor -> workers:int -> t
-(** The cluster-simulator backend.
-    @raise Failure if no simulator was registered — call
-    [Clustersim.Sim_exec.register ()] first (the simulator library
-    depends on this one, so it wires itself in at run time). *)
-
-type sim_factory = monitor:Budget.monitor -> workers:int -> t
-
-val register_sim : sim_factory -> unit
-(** Install the {!sim} backend factory (idempotent; last wins). *)
+val sim : monitor:Budget.monitor -> t
+(** The cluster-simulator backend: each job runs, eagerly and in
+    submission order, as a {!Clustersim.Dist_bnb.run} on a
+    [Platform.cluster j_workers] simulation under the job's options,
+    wrapped by {!run_job} exactly like a {!local} job (cache gating,
+    block events, timing).  The simulator has no budget hooks or
+    frontier: a block always solves to its optimum, its expansions are
+    charged to the monitor on completion, and a checkpointed frontier
+    is re-solved from scratch. *)

@@ -11,6 +11,10 @@ module Solver = Bnb.Solver
 module Stats = Bnb.Stats
 module Budget = Bnb.Budget
 module Bb_tree = Bnb.Bb_tree
+module Kernel = Bnb.Kernel
+module Strategy = Bnb.Strategy
 module Checkpoint = Bnb.Checkpoint
 module Par_bnb = Parbnb.Par_bnb
 module Domain_pool = Parbnb.Domain_pool
+module Dist_bnb = Clustersim.Dist_bnb
+module Platform = Clustersim.Platform

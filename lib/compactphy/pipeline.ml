@@ -6,11 +6,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Process-wide pipeline metrics (Obs.Metrics.default). *)
 module M = struct
-  let runs = lazy (Obs.Metrics.counter "pipeline.runs")
-  let block_size = lazy (Obs.Metrics.histogram "pipeline.block_size")
-  let blocks_per_run = lazy (Obs.Metrics.histogram "pipeline.blocks_per_run")
-  let queue_wait = lazy (Obs.Metrics.histogram "pipeline.block_queue_wait_s")
-  let certified_gap = lazy (Obs.Metrics.gauge "pipeline.certified_gap")
+  let runs = Obs.Metrics.counter "pipeline.runs"
+  let block_size = Obs.Metrics.histogram "pipeline.block_size"
+  let blocks_per_run = Obs.Metrics.histogram "pipeline.blocks_per_run"
+  let queue_wait = Obs.Metrics.histogram "pipeline.block_queue_wait_s"
+  let certified_gap = Obs.Metrics.gauge "pipeline.certified_gap"
 end
 
 type run = {
@@ -31,19 +31,16 @@ type run = {
 let strategy_json (options : Solver.options) =
   Obs.Json.Obj
     [
-      ( "exploration",
-        Obs.Json.String (Run_config.search_to_string options.Solver.search) );
-      ( "branching",
-        Obs.Json.String
-          (Run_config.branching_to_string options.Solver.branching) );
+      ("exploration", Obs.Json.enum Strategy.exploration_names options.search);
+      ("branching", Obs.Json.enum Strategy.branching_names options.branching);
       ("gap", Obs.Json.Float options.Solver.gap);
     ]
 
 let finish_report report ~options ~elapsed_s ~cost ~n_blocks ~largest_block
     ~status ~lower_bound ~certified_gap stats =
-  Obs.Metrics.incr (Lazy.force M.runs);
-  Obs.Metrics.observe (Lazy.force M.blocks_per_run) (float_of_int n_blocks);
-  Obs.Metrics.set (Lazy.force M.certified_gap) certified_gap;
+  Obs.Metrics.incr M.runs;
+  Obs.Metrics.observe M.blocks_per_run (float_of_int n_blocks);
+  Obs.Metrics.set M.certified_gap certified_gap;
   Obs.Report.set report "elapsed_s" (Obs.Json.Float elapsed_s);
   Obs.Report.set report "cost" (Obs.Json.Float cost);
   Obs.Report.set report "n_blocks" (Obs.Json.Int n_blocks);
@@ -86,7 +83,7 @@ let executor_for ~(config : Run_config.t) ~monitor ~n_jobs =
           (Int.max 1 n_jobs)
       in
       Executor.local ~capacity ~monitor ?progress ()
-  | Executor.Sim -> Executor.sim ~monitor ~workers:config.Run_config.workers
+  | Executor.Sim -> Executor.sim ~monitor
   | Executor.Tcp ->
       let addr =
         (* validate guarantees the address is present and parseable *)
@@ -172,7 +169,7 @@ let exact ?(config = Run_config.default) ?resume dm =
   let sv = o.Executor.o_solved in
   Stats.add stats sv.Executor.s_stats;
   if n > 1 then begin
-    Obs.Metrics.observe (Lazy.force M.block_size) (float_of_int n);
+    Obs.Metrics.observe M.block_size (float_of_int n);
     Obs.Report.add_worker report
       [
         ("block", Obs.Json.Int 0);
@@ -357,8 +354,8 @@ let merge_results ~report ~stats ~optimal results =
     (fun r ->
       Stats.add stats r.b_stats;
       if not r.b_optimal then optimal := false;
-      Obs.Metrics.observe (Lazy.force M.block_size) (float_of_int r.slot.size);
-      Obs.Metrics.observe (Lazy.force M.queue_wait) r.queue_wait_s;
+      Obs.Metrics.observe M.block_size (float_of_int r.slot.size);
+      Obs.Metrics.observe M.queue_wait r.queue_wait_s;
       Obs.Report.add_worker report
         [
           ("block", Obs.Json.Int r.slot.id);

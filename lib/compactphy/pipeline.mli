@@ -162,9 +162,9 @@ val compare_methods : ?config:Run_config.t -> Dist_matrix.t -> comparison
 
     Both entry points schedule every solve through the {!Executor}
     backend the configuration names: [Local] (the default — this
-    process, bit-identical to the historical pipeline), [Sim] (the
-    cluster simulator; register it with [Clustersim.Sim_exec.register]),
-    or [Tcp] (a real worker pool at [workers_addr]; see {!Net_exec}).
+    process, bit-identical to the historical pipeline), [Sim] (each
+    block on a [workers]-slave simulated cluster, {!Executor.sim}), or
+    [Tcp] (a real worker pool at [workers_addr]; see {!Net_exec}).
     Budgets, checkpoints, manifests and telemetry compose unchanged
     across backends.
 

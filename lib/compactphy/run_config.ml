@@ -1,5 +1,4 @@
 open Import
-module Kernel = Bnb.Kernel
 
 type t = {
   solver : Solver.options;
@@ -125,16 +124,7 @@ let validate ?(who = "Run_config.validate") c =
 
 type preset = Paper | Fast | Exhaustive
 
-let preset_to_string = function
-  | Paper -> "paper"
-  | Fast -> "fast"
-  | Exhaustive -> "exhaustive"
-
-let preset_of_string = function
-  | "paper" -> Some Paper
-  | "fast" -> Some Fast
-  | "exhaustive" -> Some Exhaustive
-  | _ -> None
+let preset_names = [ ("paper", Paper); ("fast", Fast); ("exhaustive", Exhaustive) ]
 
 let of_preset = function
   | Paper ->
@@ -165,124 +155,39 @@ let of_preset = function
           };
       }
 
-let lb_to_string = function Solver.LB0 -> "lb0" | Solver.LB1 -> "lb1"
-
-let lb_of_string = function
-  | "lb0" -> Some Solver.LB0
-  | "lb1" -> Some Solver.LB1
-  | _ -> None
-
-let mode33_to_string = function
-  | Solver.Off -> "off"
-  | Solver.Third_only -> "third_only"
-  | Solver.Every_insertion -> "every_insertion"
-
-let mode33_of_string = function
-  | "off" -> Some Solver.Off
-  | "third_only" -> Some Solver.Third_only
-  | "every_insertion" -> Some Solver.Every_insertion
-  | _ -> None
-
-let initial_ub_to_string = function
-  | Solver.Upgmm_ub -> "upgmm"
-  | Solver.Upgma_ub -> "upgma"
-  | Solver.Nj_ub -> "nj"
-  | Solver.No_heuristic_ub -> "none"
-
-let initial_ub_of_string = function
-  | "upgmm" -> Some Solver.Upgmm_ub
-  | "upgma" -> Some Solver.Upgma_ub
-  | "nj" -> Some Solver.Nj_ub
-  | "none" -> Some Solver.No_heuristic_ub
-  | _ -> None
-
-let search_to_string = function
-  | Solver.Dfs -> "dfs"
-  | Solver.Best_first -> "best_first"
-  | Solver.Hybrid -> "hybrid"
-
-let search_of_string = function
-  | "dfs" -> Some Solver.Dfs
-  | "best_first" -> Some Solver.Best_first
-  | "hybrid" -> Some Solver.Hybrid
-  | _ -> None
-
-let branching_to_string = function
-  | Solver.Paper_order -> "paper_order"
-  | Solver.Largest_first -> "largest_first"
-  | Solver.Residual_lb -> "residual_lb"
-
-let branching_of_string = function
-  | "paper_order" -> Some Solver.Paper_order
-  | "largest_first" -> Some Solver.Largest_first
-  | "residual_lb" -> Some Solver.Residual_lb
-  | _ -> None
-
-let linkage_to_string = function
-  | Decompose.Max -> "max"
-  | Decompose.Min -> "min"
-  | Decompose.Avg -> "avg"
-
-let linkage_of_string = function
-  | "max" -> Some Decompose.Max
-  | "min" -> Some Decompose.Min
-  | "avg" -> Some Decompose.Avg
-  | _ -> None
-
 let to_json c =
+  let module J = Obs.Json in
   let s = c.solver in
-  Obs.Json.Obj
+  let int n = J.Int n and float x = J.Float x and str a = J.String a in
+  let opt f = Option.fold ~none:J.Null ~some:f in
+  J.Obj
     ([
       ( "solver",
-        Obs.Json.Obj
+        J.Obj
           [
-            ("lb", Obs.Json.String (lb_to_string s.Solver.lb));
-            ( "relation33",
-              Obs.Json.String (mode33_to_string s.Solver.relation33) );
-            ( "initial_ub",
-              Obs.Json.String (initial_ub_to_string s.Solver.initial_ub) );
-            ( "max_expanded",
-              match s.Solver.max_expanded with
-              | Some cap -> Obs.Json.Int cap
-              | None -> Obs.Json.Null );
-            ("search", Obs.Json.String (search_to_string s.Solver.search));
-            ( "branching",
-              Obs.Json.String (branching_to_string s.Solver.branching) );
-            ("gap", Obs.Json.Float s.Solver.gap);
-            ("collect_all", Obs.Json.Bool s.Solver.collect_all);
-            ( "kernel",
-              Obs.Json.String (Kernel.kind_to_string s.Solver.kernel) );
+            ("lb", J.enum Solver.lb_names s.Solver.lb);
+            ("relation33", J.enum Solver.mode33_names s.Solver.relation33);
+            ("initial_ub", J.enum Solver.initial_ub_names s.Solver.initial_ub);
+            ("max_expanded", opt int s.Solver.max_expanded);
+            ("search", J.enum Strategy.exploration_names s.Solver.search);
+            ("branching", J.enum Strategy.branching_names s.Solver.branching);
+            ("gap", float s.Solver.gap);
+            ("collect_all", J.Bool s.Solver.collect_all);
+            ("kernel", J.enum Kernel.kind_names s.Solver.kernel);
           ] );
-      ("linkage", Obs.Json.String (linkage_to_string c.linkage));
-      ( "relaxation",
-        match c.relaxation with
-        | Some r -> Obs.Json.Float r
-        | None -> Obs.Json.Null );
-      ("workers", Obs.Json.Int c.workers);
-      ("block_workers", Obs.Json.Int c.block_workers);
-      ( "deadline_s",
-        match c.deadline_s with
-        | Some d -> Obs.Json.Float d
-        | None -> Obs.Json.Null );
-      ( "max_nodes",
-        match c.max_nodes with
-        | Some cap -> Obs.Json.Int cap
-        | None -> Obs.Json.Null );
-      ("executor", Obs.Json.String (Executor.kind_to_string c.executor));
-      ( "workers_addr",
-        match c.workers_addr with
-        | Some a -> Obs.Json.String a
-        | None -> Obs.Json.Null );
-      ( "cache_dir",
-        match c.cache_dir with
-        | Some d -> Obs.Json.String d
-        | None -> Obs.Json.Null );
+      ("linkage", J.enum Decompose.linkage_names c.linkage);
+      ("relaxation", opt float c.relaxation);
+      ("workers", int c.workers);
+      ("block_workers", int c.block_workers);
+      ("deadline_s", opt float c.deadline_s);
+      ("max_nodes", opt int c.max_nodes);
+      ("executor", J.enum Executor.kind_names c.executor);
+      ("workers_addr", opt str c.workers_addr);
+      ("cache_dir", opt str c.cache_dir);
     ]
     (* Optional fields append only when set, so manifests from runs that
        never touch them stay byte-identical to earlier releases. *)
     @ (match c.cache_max_bytes with
-      | Some b -> [ ("cache_max_bytes", Obs.Json.Int b) ]
+      | Some b -> [ ("cache_max_bytes", int b) ]
       | None -> [])
-    @ (match c.run_id with
-      | Some id -> [ ("run_id", Obs.Json.String id) ]
-      | None -> []))
+    @ match c.run_id with Some id -> [ ("run_id", str id) ] | None -> [])

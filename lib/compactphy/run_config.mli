@@ -126,30 +126,6 @@ val validate : ?who:string -> t -> t
     [workers_addr] is not a parseable [HOST:PORT], [cache_dir] or
     [run_id] is the empty string, or [cache_max_bytes < 1]. *)
 
-(** {2 Manifest strings}
-
-    The spellings used by {!to_json}, the run manifests and the wire
-    protocol, with their inverses so configurations round-trip across
-    process boundaries. *)
-
-val search_to_string : Solver.search_order -> string
-(** ["dfs"], ["best_first"] or ["hybrid"] — the spelling used by
-    {!to_json} and the run manifests. *)
-
-val branching_to_string : Solver.branch_order -> string
-(** ["paper_order"], ["largest_first"] or ["residual_lb"]. *)
-
-val lb_to_string : Solver.lb_kind -> string
-val mode33_to_string : Solver.mode33 -> string
-val initial_ub_to_string : Solver.initial_ub -> string
-val linkage_to_string : Decompose.linkage -> string
-val lb_of_string : string -> Solver.lb_kind option
-val mode33_of_string : string -> Solver.mode33 option
-val initial_ub_of_string : string -> Solver.initial_ub option
-val search_of_string : string -> Solver.search_order option
-val branching_of_string : string -> Solver.branch_order option
-val linkage_of_string : string -> Decompose.linkage option
-
 (** {2 Presets} *)
 
 type preset =
@@ -163,10 +139,15 @@ type preset =
       (** gather every optimal topology ([collect_all]), best-first *)
 
 val of_preset : preset -> t
-val preset_to_string : preset -> string
 
-val preset_of_string : string -> preset option
-(** Inverse of {!preset_to_string}; [None] on unknown names. *)
+val preset_names : (string * preset) list
+(** Spelling table (see {!Obs.Json.enum}): ["paper"], ["fast"],
+    ["exhaustive"].  The other enumerations a configuration holds keep
+    their tables beside their types: {!Solver.lb_names},
+    {!Solver.mode33_names}, {!Solver.initial_ub_names},
+    {!Bnb.Strategy.exploration_names}, {!Bnb.Strategy.branching_names},
+    {!Bnb.Kernel.kind_names}, {!Decompose.linkage_names} and
+    {!Executor.kind_names}. *)
 
 val to_json : t -> Obs.Json.t
 (** For run manifests: every field except [progress] and [cancel]

@@ -8,9 +8,9 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Process-wide daemon metrics (Obs.Metrics.default), next to the
    cache.* family — both end up in /metrics. *)
 module M = struct
-  let queue_depth = lazy (Obs.Metrics.gauge "serve.queue_depth")
-  let requests = lazy (Obs.Metrics.counter "serve.requests")
-  let errors = lazy (Obs.Metrics.counter "serve.errors")
+  let queue_depth = Obs.Metrics.gauge "serve.queue_depth"
+  let requests = Obs.Metrics.counter "serve.requests"
+  let errors = Obs.Metrics.counter "serve.errors"
 end
 
 type t = {
@@ -28,10 +28,10 @@ let queue_depth t = Atomic.get t.in_flight
 
 (* --- request handling --- *)
 
-let sync_gauge t = Obs.Metrics.set (Lazy.force M.queue_depth) (float_of_int (Atomic.get t.in_flight))
+let sync_gauge t = Obs.Metrics.set M.queue_depth (float_of_int (Atomic.get t.in_flight))
 
 let error_json status msg =
-  Obs.Metrics.incr (Lazy.force M.errors);
+  Obs.Metrics.incr M.errors;
   ( status,
     "application/json",
     J.to_string (J.Obj [ ("error", J.String msg) ]) ^ "\n" )
@@ -88,7 +88,7 @@ let solve t ~request_id ~query ~body =
       match runner with
       | None -> error_json 400 (Printf.sprintf "unknown method %S (want compact|exact)" meth)
       | Some runner -> (
-          Obs.Metrics.incr (Lazy.force M.requests);
+          Obs.Metrics.incr M.requests;
           Atomic.incr t.in_flight;
           sync_gauge t;
           let finally () =

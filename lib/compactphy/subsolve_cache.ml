@@ -16,13 +16,13 @@ let default_capacity = 512
 
 (* Process-wide cache metrics (Obs.Metrics.default). *)
 module M = struct
-  let hits = lazy (Obs.Metrics.counter "cache.hits")
-  let misses = lazy (Obs.Metrics.counter "cache.misses")
-  let stores = lazy (Obs.Metrics.counter "cache.stores")
-  let evictions = lazy (Obs.Metrics.counter "cache.evictions")
-  let disk_evictions = lazy (Obs.Metrics.counter "cache.disk_evictions")
-  let corrupt = lazy (Obs.Metrics.counter "cache.corrupt")
-  let hit_rate = lazy (Obs.Metrics.gauge "cache.hit_rate")
+  let hits = Obs.Metrics.counter "cache.hits"
+  let misses = Obs.Metrics.counter "cache.misses"
+  let stores = Obs.Metrics.counter "cache.stores"
+  let evictions = Obs.Metrics.counter "cache.evictions"
+  let disk_evictions = Obs.Metrics.counter "cache.disk_evictions"
+  let corrupt = Obs.Metrics.counter "cache.corrupt"
+  let hit_rate = Obs.Metrics.gauge "cache.hit_rate"
 end
 
 (* --- keys ---
@@ -54,21 +54,16 @@ let hex x = Printf.sprintf "%h" x
 let fingerprint (options : Solver.options) cm =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "subsolve-v%d" format_version);
-  Buffer.add_string buf ("|lb=" ^ Run_config.lb_to_string options.Solver.lb);
-  Buffer.add_string buf
-    ("|relation33=" ^ Run_config.mode33_to_string options.Solver.relation33);
-  Buffer.add_string buf
-    ("|initial_ub="
-    ^ Run_config.initial_ub_to_string options.Solver.initial_ub);
-  Buffer.add_string buf
-    ("|search=" ^ Run_config.search_to_string options.Solver.search);
-  Buffer.add_string buf
-    ("|branching=" ^ Run_config.branching_to_string options.Solver.branching);
-  Buffer.add_string buf ("|gap=" ^ hex options.Solver.gap);
-  Buffer.add_string buf
-    ("|collect_all=" ^ string_of_bool options.Solver.collect_all);
-  Buffer.add_string buf
-    ("|kernel=" ^ Bnb.Kernel.kind_to_string options.Solver.kernel);
+  let field key v = Buffer.add_string buf ("|" ^ key ^ "=" ^ v) in
+  let enum key table v = field key (Obs.Json.enum_name table v) in
+  enum "lb" Solver.lb_names options.Solver.lb;
+  enum "relation33" Solver.mode33_names options.Solver.relation33;
+  enum "initial_ub" Solver.initial_ub_names options.Solver.initial_ub;
+  enum "search" Strategy.exploration_names options.Solver.search;
+  enum "branching" Strategy.branching_names options.Solver.branching;
+  field "gap" (hex options.Solver.gap);
+  field "collect_all" (string_of_bool options.Solver.collect_all);
+  enum "kernel" Kernel.kind_names options.Solver.kernel;
   Buffer.add_string buf (Printf.sprintf "|n=%d" (Dist_matrix.size cm));
   Dist_matrix.iter_pairs
     (fun i j d -> Buffer.add_string buf (Printf.sprintf ";%d,%d:%h" i j d))
@@ -255,7 +250,7 @@ let evict_to_capacity t =
         Hashtbl.remove t.table d;
         Hashtbl.remove t.stamp d;
         t.evictions <- t.evictions + 1;
-        Obs.Metrics.incr (Lazy.force M.evictions)
+        Obs.Metrics.incr M.evictions
   done
 
 let insert_mem t digest sv =
@@ -267,19 +262,19 @@ let insert_mem t digest sv =
 
 let note_hit t =
   t.hits <- t.hits + 1;
-  Obs.Metrics.incr (Lazy.force M.hits);
-  Obs.Metrics.set (Lazy.force M.hit_rate)
+  Obs.Metrics.incr M.hits;
+  Obs.Metrics.set M.hit_rate
     (float_of_int t.hits /. float_of_int (t.hits + t.misses))
 
 let note_miss t =
   t.misses <- t.misses + 1;
-  Obs.Metrics.incr (Lazy.force M.misses);
-  Obs.Metrics.set (Lazy.force M.hit_rate)
+  Obs.Metrics.incr M.misses;
+  Obs.Metrics.set M.hit_rate
     (float_of_int t.hits /. float_of_int (t.hits + t.misses))
 
 let note_corrupt t path reason =
   t.corrupt <- t.corrupt + 1;
-  Obs.Metrics.incr (Lazy.force M.corrupt);
+  Obs.Metrics.incr M.corrupt;
   Log.warn (fun m -> m "rejecting cache entry %s: %s" path reason);
   (* Drop the bad blob so the fresh solve can re-store a clean one. *)
   try Sys.remove path with Sys_error _ -> ()
@@ -334,7 +329,7 @@ let enforce_disk_bound t =
               (try Sys.remove path with Sys_error _ -> ());
               excess := !excess - size;
               t.disk_evictions <- t.disk_evictions + 1;
-              Obs.Metrics.incr (Lazy.force M.disk_evictions);
+              Obs.Metrics.incr M.disk_evictions;
               Log.debug (fun m -> m "disk eviction: %s (%d bytes)" path size)
             end)
           entries
@@ -459,7 +454,7 @@ let store t k (sv : Executor.solved) =
         if not (Hashtbl.mem t.table k.k_digest) then begin
           insert_mem t k.k_digest canonical;
           t.stores <- t.stores + 1;
-          Obs.Metrics.incr (Lazy.force M.stores);
+          Obs.Metrics.incr M.stores;
           disk_store t k canonical
         end)
   end

@@ -118,9 +118,9 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
-let enum_field name of_string j =
+let enum_field name table j =
   let* s = string_field name j in
-  match of_string s with
+  match List.assoc_opt s table with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "field %S: unknown value %S" name s)
 
@@ -164,25 +164,24 @@ let matrix_of_json j =
 let options_to_json (o : Solver.options) =
   J.Obj
     [
-      ("lb", J.String (Run_config.lb_to_string o.Solver.lb));
-      ("relation33", J.String (Run_config.mode33_to_string o.Solver.relation33));
-      ( "initial_ub",
-        J.String (Run_config.initial_ub_to_string o.Solver.initial_ub) );
+      ("lb", J.enum Solver.lb_names o.Solver.lb);
+      ("relation33", J.enum Solver.mode33_names o.Solver.relation33);
+      ("initial_ub", J.enum Solver.initial_ub_names o.Solver.initial_ub);
       ( "max_expanded",
         match o.Solver.max_expanded with
         | Some cap -> J.Int cap
         | None -> J.Null );
-      ("search", J.String (Run_config.search_to_string o.Solver.search));
-      ("branching", J.String (Run_config.branching_to_string o.Solver.branching));
+      ("search", J.enum Strategy.exploration_names o.Solver.search);
+      ("branching", J.enum Strategy.branching_names o.Solver.branching);
       ("gap", J.String (hex o.Solver.gap));
       ("collect_all", J.Bool o.Solver.collect_all);
-      ("kernel", J.String (Bnb.Kernel.kind_to_string o.Solver.kernel));
+      ("kernel", J.enum Kernel.kind_names o.Solver.kernel);
     ]
 
 let options_of_json j =
-  let* lb = enum_field "lb" Run_config.lb_of_string j in
-  let* relation33 = enum_field "relation33" Run_config.mode33_of_string j in
-  let* initial_ub = enum_field "initial_ub" Run_config.initial_ub_of_string j in
+  let* lb = enum_field "lb" Solver.lb_names j in
+  let* relation33 = enum_field "relation33" Solver.mode33_names j in
+  let* initial_ub = enum_field "initial_ub" Solver.initial_ub_names j in
   let* max_expanded =
     match J.member "max_expanded" j with
     | Some J.Null | None -> Ok None
@@ -191,11 +190,11 @@ let options_of_json j =
         | Some cap -> Ok (Some cap)
         | None -> Error "field \"max_expanded\" must be an integer or null")
   in
-  let* search = enum_field "search" Run_config.search_of_string j in
-  let* branching = enum_field "branching" Run_config.branching_of_string j in
+  let* search = enum_field "search" Strategy.exploration_names j in
+  let* branching = enum_field "branching" Strategy.branching_names j in
   let* gap = hex_float_field "gap" j in
   let* collect_all = bool_field "collect_all" j in
-  let* kernel = enum_field "kernel" Bnb.Kernel.kind_of_string j in
+  let* kernel = enum_field "kernel" Kernel.kind_names j in
   Ok
     {
       Solver.lb;

@@ -72,6 +72,9 @@ let write_file path j =
       output oc j;
       output_char oc '\n')
 
+let enum_name table v = fst (List.find (fun (_, v') -> v' = v) table)
+let enum table v = String (enum_name table v)
+
 (* --- parsing --- *)
 
 exception Parse_error of int * string

@@ -23,6 +23,20 @@ val output : out_channel -> t -> unit
 val write_file : string -> t -> unit
 (** Serialise to [path] followed by a newline (truncating). *)
 
+(** {2 Enumerations}
+
+    An enumeration's spellings live in one [(string * 'a) list] table
+    in the module that defines its type: canonical names first, then
+    any accepted aliases.  Decoding is [List.assoc_opt]; these give the
+    canonical spelling back. *)
+
+val enum_name : (string * 'a) list -> 'a -> string
+(** The first name a spelling table binds to the value.
+    @raise Not_found if the table does not cover the value. *)
+
+val enum : (string * 'a) list -> 'a -> t
+(** [String (enum_name table v)]. *)
+
 (** {2 Parsing} *)
 
 val of_string : string -> (t, string) result

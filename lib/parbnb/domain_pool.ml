@@ -4,24 +4,27 @@ exception Cancelled
    domain picked them up (milliseconds — sub-millisecond waits all land
    in the first log-scale bucket, which is the uninteresting case), and
    how many ran.  Flushed straight to the default registry; the dump's
-   p50/p95/p99 of task_wait_ms is the block scheduler's queue pressure. *)
+   p50/p95/p99 of task_wait_ms is the block scheduler's queue pressure.
+   The handles are created when the module initialises: workers on
+   several domains touch them at once, and a [lazy] forced concurrently
+   raises [CamlinternalLazy.Undefined]. *)
 module M = struct
-  let tasks = lazy (Obs.Metrics.counter "domain_pool.tasks")
-  let task_wait_ms = lazy (Obs.Metrics.histogram "domain_pool.task_wait_ms")
+  let tasks = Obs.Metrics.counter "domain_pool.tasks"
+  let task_wait_ms = Obs.Metrics.histogram "domain_pool.task_wait_ms"
 
   (* Live scheduler state for /metrics and [phylo top].  Gauges are
      process-wide: with several pools alive the last writer wins, which
      in practice is the one pool the pipeline runs. *)
-  let size = lazy (Obs.Metrics.gauge "domain_pool.size")
-  let queue_depth = lazy (Obs.Metrics.gauge "domain_pool.queue_depth")
-  let busy = lazy (Obs.Metrics.gauge "domain_pool.busy")
+  let size = Obs.Metrics.gauge "domain_pool.size"
+  let queue_depth = Obs.Metrics.gauge "domain_pool.queue_depth"
+  let busy = Obs.Metrics.gauge "domain_pool.busy"
 
   let started ~waited_s =
-    Obs.Metrics.incr (Lazy.force tasks);
-    Obs.Metrics.observe (Lazy.force task_wait_ms) (waited_s *. 1e3)
+    Obs.Metrics.incr tasks;
+    Obs.Metrics.observe task_wait_ms (waited_s *. 1e3)
 
-  let set_queue_depth n = Obs.Metrics.set (Lazy.force queue_depth) (float_of_int n)
-  let set_busy n = Obs.Metrics.set (Lazy.force busy) (float_of_int n)
+  let set_queue_depth n = Obs.Metrics.set queue_depth (float_of_int n)
+  let set_busy n = Obs.Metrics.set busy (float_of_int n)
 end
 
 (* --- persistent pool --- *)
@@ -105,7 +108,7 @@ let create ~n_workers =
       domains = [];
     }
   in
-  Obs.Metrics.set (Lazy.force M.size) (float_of_int n_workers);
+  Obs.Metrics.set M.size (float_of_int n_workers);
   M.set_queue_depth 0;
   M.set_busy 0;
   pool.domains <- List.init n_workers (fun _ -> Domain.spawn (worker pool));
@@ -120,8 +123,13 @@ let submit pool f =
          raising task cannot take a pool domain down with it. *)
       run =
         (fun () ->
-          M.started ~waited_s:(Obs.Clock.elapsed_s queued);
-          fill fut (match f () with v -> Done v | exception e -> Failed e));
+          fill fut
+            (match
+               M.started ~waited_s:(Obs.Clock.elapsed_s queued);
+               f ()
+             with
+            | v -> Done v
+            | exception e -> Failed e));
       skip = (fun () -> fill fut Skipped);
     }
   in
@@ -167,41 +175,3 @@ let shutdown pool =
   pool.domains <- [];
   Mutex.unlock pool.lock;
   List.iter Domain.join domains
-
-(* --- one-shot batch map --- *)
-
-let map ~n_workers f tasks =
-  if n_workers < 1 then invalid_arg "Domain_pool.map: n_workers < 1";
-  let n = Array.length tasks in
-  if n_workers = 1 || n <= 1 then Array.map f tasks
-  else begin
-    let next = Atomic.make 0 in
-    let stop = Atomic.make false in
-    let results = Array.make n None in
-    let errors = Array.make n None in
-    let rec drain () =
-      if not (Atomic.get stop) then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (match f tasks.(i) with
-          | v -> results.(i) <- Some v
-          | exception e ->
-              errors.(i) <- Some e;
-              Atomic.set stop true);
-          drain ()
-        end
-      end
-    in
-    let domains =
-      List.init (Int.min n_workers n) (fun _ -> Domain.spawn drain)
-    in
-    List.iter Domain.join domains;
-    (* Claim order is index order, so the first recorded exception is the
-       first one raised among tasks that actually started. *)
-    Array.iter (function Some e -> raise e | None -> ()) errors;
-    Array.map
-      (function
-        | Some v -> v
-        | None -> invalid_arg "Domain_pool.map: unreachable missing result")
-      results
-  end

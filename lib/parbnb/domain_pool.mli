@@ -4,11 +4,11 @@
     branch-and-bound search (nodes flow between workers mid-solve),
     this pool runs a batch of {e unrelated} tasks — one compact-set
     block solve each, in the pipeline — over a bounded number of
-    domains.  Tasks are claimed in array order, so the caller controls
-    the schedule by ordering the input (the pipeline submits blocks
-    largest-first to minimise makespan); results always come back in
-    input order, which keeps downstream merges deterministic whatever
-    order tasks actually finished in. *)
+    domains.  Tasks start in submission order, so the caller controls
+    the schedule by ordering its submissions (the pipeline submits
+    blocks largest-first to minimise makespan); each result comes back
+    through its own {!future}, which keeps downstream merges
+    deterministic whatever order tasks actually finished in. *)
 
 exception Cancelled
 (** Raised by {!submit} on a cancelled (or shut-down) pool, and by
@@ -47,16 +47,3 @@ val cancel : t -> unit
 val shutdown : t -> unit
 (** Finish whatever is queued (unless {!cancel}led first), then join
     all worker domains.  Idempotent; no [submit] may race with it. *)
-
-(** {2 One-shot batch} *)
-
-val map : n_workers:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~n_workers f tasks] applies [f] to every task and returns the
-    results in input order.  [n_workers = 1] (or a single task) runs
-    everything in the calling domain with no spawns; otherwise
-    [min n_workers (Array.length tasks)] domains each repeatedly claim
-    the next unclaimed index.  If any [f] raises, the first exception
-    (in claim order) is re-raised after all domains have drained, and
-    no further tasks are started.
-
-    @raise Invalid_argument if [n_workers < 1]. *)

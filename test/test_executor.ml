@@ -20,7 +20,6 @@ module Run_config = Compactphy.Run_config
 module Executor = Compactphy.Executor
 module Wire = Compactphy.Wire
 module Net_exec = Compactphy.Net_exec
-module Sim_exec = Clustersim.Sim_exec
 
 let rng seed = Random.State.make [| seed |]
 
@@ -482,7 +481,6 @@ let test_heartbeats_reach_healthz () =
 (* --- sim backend --- *)
 
 let test_sim_backend () =
-  Sim_exec.register ();
   let m = Gen.clustered ~rng:(rng 10) ~n_clusters:3 15 in
   let seq = Pipeline.with_compact_sets m in
   let sim =

@@ -286,11 +286,13 @@ let test_kind_round_trip () =
     (fun k ->
       Alcotest.(check bool)
         "round trip" true
-        (Kernel.kind_of_string (Kernel.kind_to_string k) = Some k))
+        (List.assoc_opt (Obs.Json.enum_name Kernel.kind_names k)
+           Kernel.kind_names
+        = Some k))
     [ Kernel.Reference; Kernel.Incremental ];
   Alcotest.(check bool)
     "unknown name" true
-    (Kernel.kind_of_string "turbo" = None)
+    (List.assoc_opt "turbo" Kernel.kind_names = None)
 
 let () =
   Alcotest.run "kernel"

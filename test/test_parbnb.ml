@@ -11,6 +11,20 @@ module Shared_pool = Parbnb.Shared_pool
 module Domain_pool = Parbnb.Domain_pool
 module Bb_tree = Bnb.Bb_tree
 
+(* Child mode of the fresh-process pool test below: a 4-worker pool
+   awaiting 16 trivial tasks, in a process where nothing else has
+   touched the pool's metrics yet.  Runs before Alcotest sees argv. *)
+let probe_env = "DOMAIN_POOL_PROBE"
+
+let () =
+  if Sys.getenv_opt probe_env = Some "1" then begin
+    let pool = Domain_pool.create ~n_workers:4 in
+    let futures = List.init 16 (fun i -> Domain_pool.submit pool (fun () -> i)) in
+    let sum = List.fold_left (fun acc f -> acc + Domain_pool.await f) 0 futures in
+    Domain_pool.shutdown pool;
+    exit (if sum = 120 then 0 else 1)
+  end
+
 let rng seed = Random.State.make [| seed |]
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -122,11 +136,23 @@ let test_pool_donation_wakes_parked () =
 
 (* --- Domain_pool --- *)
 
+(* Submit every task to a fresh pool, then await the futures in
+   submission order. *)
+let pool_map ~n_workers f tasks =
+  let pool = Domain_pool.create ~n_workers in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      let futures =
+        Array.map (fun x -> Domain_pool.submit pool (fun () -> f x)) tasks
+      in
+      Array.map Domain_pool.await futures)
+
 let test_dpool_preserves_order () =
   let tasks = Array.init 100 Fun.id in
   List.iter
     (fun n_workers ->
-      let out = Domain_pool.map ~n_workers (fun i -> i * i) tasks in
+      let out = pool_map ~n_workers (fun i -> i * i) tasks in
       Alcotest.(check (array int))
         (Printf.sprintf "order, %d workers" n_workers)
         (Array.init 100 (fun i -> i * i))
@@ -134,29 +160,80 @@ let test_dpool_preserves_order () =
     [ 1; 2; 4 ]
 
 let test_dpool_more_workers_than_tasks () =
-  let out = Domain_pool.map ~n_workers:8 (fun i -> i + 1) [| 1; 2; 3 |] in
+  let out = pool_map ~n_workers:8 (fun i -> i + 1) [| 1; 2; 3 |] in
   Alcotest.(check (array int)) "all done" [| 2; 3; 4 |] out
 
 let test_dpool_empty_and_single () =
-  Alcotest.(check (array int)) "empty" [||]
-    (Domain_pool.map ~n_workers:4 Fun.id [||]);
+  Alcotest.(check (array int)) "empty" [||] (pool_map ~n_workers:4 Fun.id [||]);
   Alcotest.(check (array int)) "single" [| 7 |]
-    (Domain_pool.map ~n_workers:4 Fun.id [| 7 |])
+    (pool_map ~n_workers:4 Fun.id [| 7 |])
 
 let test_dpool_rejects_zero_workers () =
-  match Domain_pool.map ~n_workers:0 Fun.id [| 1 |] with
+  match Domain_pool.create ~n_workers:0 with
   | _ -> Alcotest.fail "expected exception"
   | exception Invalid_argument _ -> ()
 
 let test_dpool_propagates_exception () =
   let f i = if i = 5 then failwith "boom" else i in
-  (match Domain_pool.map ~n_workers:3 f (Array.init 20 Fun.id) with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
-  (* Sequential fallback path too. *)
-  match Domain_pool.map ~n_workers:1 f (Array.init 20 Fun.id) with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ()
+  List.iter
+    (fun n_workers ->
+      match pool_map ~n_workers f (Array.init 20 Fun.id) with
+      | _ -> Alcotest.fail "expected Failure"
+      | exception Failure msg -> Alcotest.(check string) "message" "boom" msg)
+    [ 1; 3 ]
+
+(* Regression: the first tasks of a fresh process used to race on
+   lazily created metric handles; the loser raised outside the task's
+   exception guard, killing its worker domain and leaving the future
+   unfilled, so [await] hung (about 1 run in 30).  Re-run this binary in
+   probe mode many times, a few at a time, and kill any child that does
+   not finish within the timeout. *)
+let test_dpool_fresh_process_no_hang () =
+  let runs = 200 and parallel = 4 and timeout_s = 20. in
+  let env = Array.append [| probe_env ^ "=1" |] (Unix.environment ()) in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let spawn () =
+    ( Unix.create_process_env Sys.executable_name
+        [| Sys.executable_name |]
+        env devnull devnull Unix.stderr,
+      Unix.gettimeofday () )
+  in
+  let hung = ref 0 and failed = ref 0 and started = ref 0 in
+  let rec loop running =
+    let running =
+      List.filter
+        (fun (pid, t0) ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ ->
+              if Unix.gettimeofday () -. t0 > timeout_s then begin
+                Unix.kill pid Sys.sigkill;
+                ignore (Unix.waitpid [] pid);
+                incr hung;
+                false
+              end
+              else true
+          | _, Unix.WEXITED 0 -> false
+          | _, _ ->
+              incr failed;
+              false)
+        running
+    in
+    let rec top_up running =
+      if List.length running < parallel && !started < runs then begin
+        incr started;
+        top_up (spawn () :: running)
+      end
+      else running
+    in
+    let running = top_up running in
+    if running <> [] then begin
+      Unix.sleepf 0.002;
+      loop running
+    end
+  in
+  Fun.protect ~finally:(fun () -> Unix.close devnull) (fun () -> loop []);
+  Alcotest.(check int) "hung processes" 0 !hung;
+  Alcotest.(check int) "failed processes" 0 !failed
 
 (* --- persistent Domain_pool: fault injection and cancellation --- *)
 
@@ -277,6 +354,8 @@ let () =
             test_dpool_fault_isolation;
           Alcotest.test_case "cancellation (persistent)" `Quick
             test_dpool_cancel;
+          Alcotest.test_case "no hang across fresh processes" `Quick
+            test_dpool_fresh_process_no_hang;
         ] );
       ("properties", q [ prop_parallel_equals_sequential ]);
     ]

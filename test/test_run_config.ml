@@ -161,54 +161,54 @@ let test_pipeline_rejects_invalid_config () =
         ~config:Run_config.(with_relaxation 0.2 default)
         m)
 
-let test_dist_bnb_takes_config () =
+let test_dist_bnb_takes_options () =
   let m = Gen.uniform_metric ~rng:(rng 5) 6 in
-  (* ?config works and is validated; the removed legacy [?options] is
-     expressed through [with_solver]. *)
-  let r = Dist_bnb.run ~config:Run_config.default (Platform.cluster 2) m in
+  (* The simulator reads only the solver options of a configuration. *)
+  let r = Dist_bnb.run (Platform.cluster 2) m in
   let s = Pipeline.exact m in
   Alcotest.(check (float 1e-9)) "same optimum" s.Pipeline.cost r.Dist_bnb.cost;
   let r' =
-    Dist_bnb.run
-      ~config:(Run_config.with_solver Solver.default_options Run_config.default)
+    Dist_bnb.run ~options:Run_config.default.Run_config.solver
       (Platform.cluster 2) m
   in
-  Alcotest.(check (float 1e-9)) "with_solver same" r.Dist_bnb.cost
-    r'.Dist_bnb.cost;
+  Alcotest.(check (float 1e-9)) "explicit default options same"
+    r.Dist_bnb.cost r'.Dist_bnb.cost;
+  let r0 =
+    Dist_bnb.run ~options:(Solver.options ~lb:Solver.LB0 ())
+      (Platform.cluster 2) m
+  in
+  Alcotest.(check (float 1e-9)) "LB0 same optimum" r.Dist_bnb.cost
+    r0.Dist_bnb.cost;
   Alcotest.(check bool) "stats exposed" true
-    (r.Dist_bnb.stats.Bnb.Stats.expanded >= 0);
-  rejects "invalid config" (fun () ->
-      Dist_bnb.run
-        ~config:Run_config.(with_workers 0 default)
-        (Platform.cluster 2) m)
+    (r.Dist_bnb.stats.Bnb.Stats.expanded >= 0)
 
 (* --- manifest strings --- *)
 
+(* Every value of an enumeration has a canonical spelling that parses
+   back to it, and unknown names do not parse. *)
+let round_trips name table all =
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (name ^ " round trip") true
+        (List.assoc_opt (Obs.Json.enum_name table v) table = Some v))
+    all;
+  Alcotest.(check bool) (name ^ " unknown") true
+    (List.assoc_opt "warp" table = None)
+
 let test_string_round_trips () =
-  let round name to_s of_s all =
-    List.iter
-      (fun v ->
-        Alcotest.(check bool)
-          (name ^ " round trip") true
-          (of_s (to_s v) = Some v))
-      all;
-    Alcotest.(check bool) (name ^ " unknown") true (of_s "warp" = None)
-  in
-  round "lb" Run_config.lb_to_string Run_config.lb_of_string
-    [ Solver.LB0; Solver.LB1 ];
-  round "mode33" Run_config.mode33_to_string Run_config.mode33_of_string
+  round_trips "lb" Solver.lb_names [ Solver.LB0; Solver.LB1 ];
+  round_trips "mode33" Solver.mode33_names
     [ Solver.Off; Solver.Third_only; Solver.Every_insertion ];
-  round "initial_ub" Run_config.initial_ub_to_string
-    Run_config.initial_ub_of_string
+  round_trips "initial_ub" Solver.initial_ub_names
     [ Solver.Upgmm_ub; Solver.Upgma_ub; Solver.Nj_ub; Solver.No_heuristic_ub ];
-  round "search" Run_config.search_to_string Run_config.search_of_string
+  round_trips "search" Bnb.Strategy.exploration_names
     [ Solver.Dfs; Solver.Best_first; Solver.Hybrid ];
-  round "branching" Run_config.branching_to_string
-    Run_config.branching_of_string
+  round_trips "branching" Bnb.Strategy.branching_names
     [ Solver.Paper_order; Solver.Largest_first; Solver.Residual_lb ];
-  round "linkage" Run_config.linkage_to_string Run_config.linkage_of_string
+  round_trips "linkage" Decompose.linkage_names
     [ Decompose.Max; Decompose.Min; Decompose.Avg ];
-  round "executor kind" Executor.kind_to_string Executor.kind_of_string
+  round_trips "executor kind" Executor.kind_names
     [ Executor.Local; Executor.Sim; Executor.Tcp ]
 
 let test_parse_addr () =
@@ -228,15 +228,8 @@ let test_parse_addr () =
 (* --- presets --- *)
 
 let test_preset_round_trip () =
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        "round trip" true
-        (Run_config.preset_of_string (Run_config.preset_to_string p) = Some p))
-    [ Run_config.Paper; Run_config.Fast; Run_config.Exhaustive ];
-  Alcotest.(check bool)
-    "unknown preset" true
-    (Run_config.preset_of_string "warp" = None)
+  round_trips "preset" Run_config.preset_names
+    [ Run_config.Paper; Run_config.Fast; Run_config.Exhaustive ]
 
 let test_preset_contents () =
   let paper = Run_config.of_preset Run_config.Paper in
@@ -289,11 +282,79 @@ let test_to_json_shape () =
       | Obs.Json.Obj solver ->
           Alcotest.(check bool) "kernel recorded" true
             (List.assoc "kernel" solver
-            = Obs.Json.String
-                (Bnb.Kernel.kind_to_string
-                   Run_config.default.Run_config.solver.Solver.kernel))
+            = Obs.Json.enum Bnb.Kernel.kind_names
+                Run_config.default.Run_config.solver.Solver.kernel)
       | _ -> Alcotest.fail "solver field is not an object")
   | _ -> Alcotest.fail "to_json did not produce an object"
+
+(* --- pinned on-disk and on-wire formats ---
+
+   The spellings above feed cache keys, manifests and wire frames; these
+   values were captured before the spellings moved into per-type tables
+   and must never change by accident (old caches would silently miss,
+   old workers would reject jobs). *)
+
+let hominoids () =
+  let path =
+    if Sys.file_exists "../data/hominoids.phy" then "../data/hominoids.phy"
+    else "data/hominoids.phy"
+  in
+  (Distmat.Matrix_io.of_phylip (Distmat.Matrix_io.read_file path))
+    .Distmat.Matrix_io.matrix
+
+(* Every enumerated option away from its default. *)
+let non_default_options =
+  Solver.options ~search:Solver.Best_first ~branching:Solver.Residual_lb
+    ~lb:Solver.LB0 ~initial_ub:Solver.Nj_ub
+    ~relation33:Solver.Every_insertion ~kernel:Solver.Reference ()
+
+let test_pinned_cache_digests () =
+  let m = hominoids () in
+  let digest options =
+    Compactphy.Subsolve_cache.(digest (key ~options m))
+  in
+  Alcotest.(check string) "default options" "b573f3cad04555abcb7f28b931300555"
+    (digest Solver.default_options);
+  Alcotest.(check string) "non-default options"
+    "dc3b6c0532d9ad5af482bc3a7ec6aedb"
+    (digest non_default_options)
+
+let test_pinned_config_json () =
+  Alcotest.(check string) "Run_config.default"
+    "{\"solver\":{\"lb\":\"lb1\",\"relation33\":\"off\",\"initial_ub\":\"upgmm\",\"max_expanded\":null,\"search\":\"dfs\",\"branching\":\"paper_order\",\"gap\":0.0,\"collect_all\":false,\"kernel\":\"incremental\"},\"linkage\":\"max\",\"relaxation\":null,\"workers\":1,\"block_workers\":1,\"deadline_s\":null,\"max_nodes\":null,\"executor\":\"local\",\"workers_addr\":null,\"cache_dir\":null}"
+    (Obs.Json.to_string (Run_config.to_json Run_config.default))
+
+let test_pinned_wire_job_frame () =
+  let m = hominoids () in
+  let job =
+    {
+      Executor.j_id = 3;
+      j_size = 4;
+      j_matrix = Dist_matrix.init 4 (fun i j -> Dist_matrix.get m i j);
+      j_options = non_default_options;
+      j_workers = 2;
+      j_node_share = Some 500;
+      j_poll_every = 64;
+      j_resume = None;
+      j_cache = true;
+      j_trace = Some "run-pin";
+    }
+  in
+  let r, w = Unix.pipe () in
+  Compactphy.Wire.write_frame w (Compactphy.Wire.Job job);
+  Unix.close w;
+  let buf = Buffer.create 1024 and chunk = Bytes.create 1024 in
+  let rec drain () =
+    match Unix.read r chunk 0 (Bytes.length chunk) with
+    | 0 -> Unix.close r
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+  in
+  drain ();
+  Alcotest.(check string) "job frame bytes"
+    "\000\000\002\015{\"type\":\"job\",\"job\":{\"id\":3,\"size\":4,\"matrix\":{\"n\":4,\"entries\":[[2,3,\"0x1.c125bb45bbcbfp+4\"],[1,3,\"0x1.c6fa3443d46b2p+4\"],[1,2,\"0x1.a94850fc9cc92p+1\"],[0,3,\"0x1.91a29f6738f44p+4\"],[0,2,\"0x1.e2909594515b4p+4\"],[0,1,\"0x1.f4a3f3aa8727ap+4\"]]},\"options\":{\"lb\":\"lb0\",\"relation33\":\"every_insertion\",\"initial_ub\":\"nj\",\"max_expanded\":null,\"search\":\"best_first\",\"branching\":\"residual_lb\",\"gap\":\"0x0p+0\",\"collect_all\":false,\"kernel\":\"reference\"},\"workers\":2,\"node_share\":500,\"poll_every\":64,\"resume\":null,\"cache\":true,\"trace\":\"run-pin\"}}"
+    (Buffer.contents buf)
 
 let () =
   Alcotest.run "run_config"
@@ -318,8 +379,8 @@ let () =
             test_options_smart_constructor;
           Alcotest.test_case "pipeline propagates" `Quick
             test_pipeline_rejects_invalid_config;
-          Alcotest.test_case "dist_bnb takes config" `Quick
-            test_dist_bnb_takes_config;
+          Alcotest.test_case "dist_bnb takes options" `Quick
+            test_dist_bnb_takes_options;
         ] );
       ( "strings",
         [
@@ -337,4 +398,11 @@ let () =
         ] );
       ( "manifest",
         [ Alcotest.test_case "to_json shape" `Quick test_to_json_shape ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "cache digests" `Quick test_pinned_cache_digests;
+          Alcotest.test_case "default config json" `Quick
+            test_pinned_config_json;
+          Alcotest.test_case "wire job frame" `Quick test_pinned_wire_job_frame;
+        ] );
     ]

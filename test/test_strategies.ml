@@ -360,20 +360,28 @@ let test_manifest_records_strategy_and_gap () =
   | _ -> Alcotest.fail "manifest lacks certified_gap"
 
 let test_strategy_string_roundtrip () =
+  let round table v =
+    List.assoc_opt (Obs.Json.enum_name table v) table = Some v
+  in
   List.iter
     (fun e ->
       Alcotest.(check bool)
         "exploration round-trips" true
-        (Strategy.exploration_of_string (Strategy.exploration_to_string e)
-        = Some e))
+        (round Strategy.exploration_names e))
     [ Strategy.Dfs; Strategy.Best_first; Strategy.Hybrid ];
   List.iter
     (fun b ->
       Alcotest.(check bool)
         "branching round-trips" true
-        (Strategy.branching_of_string (Strategy.branching_to_string b)
-        = Some b))
-    [ Strategy.Paper_order; Strategy.Largest_first; Strategy.Residual_lb ]
+        (round Strategy.branching_names b))
+    [ Strategy.Paper_order; Strategy.Largest_first; Strategy.Residual_lb ];
+  (* Aliases parse, but the canonical spelling is what gets written. *)
+  Alcotest.(check string) "canonical exploration" "best_first"
+    (Obs.Json.enum_name Strategy.exploration_names
+       (List.assoc "best-first" Strategy.exploration_names));
+  Alcotest.(check string) "canonical branching" "residual_lb"
+    (Obs.Json.enum_name Strategy.branching_names
+       (List.assoc "residual" Strategy.branching_names))
 
 let () =
   Alcotest.run "strategies"
