@@ -66,13 +66,18 @@ let lower_bound ~quick () =
     ~headers:[ "species"; "LB0 expanded"; "LB1 expanded"; "saved" ]
     rows
 
-(* A-3: naive vs optimised compact-set finder. *)
+(* A-3: naive vs optimised compact-set finder.  Each row first checks
+   that the two finders agree, so the timings compare equal work. *)
 let compact_finder ~quick () =
   let sizes = if quick then [ 50; 100 ] else [ 50; 100; 200; 400 ] in
   let rows =
     List.map
       (fun n ->
         let m = Workloads.mtdna ~seed:n n in
+        if Cgraph.Compact_sets.find_naive m <> Cgraph.Compact_sets.find m then
+          failwith
+            (Printf.sprintf
+               "ablation-compact: finders disagree on %d species" n);
         let best f =
           let runs = if quick then 2 else 3 in
           List.fold_left

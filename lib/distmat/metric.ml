@@ -58,11 +58,21 @@ let ultrametric_violations ?eps ?limit m =
 let floyd_warshall m =
   let n = Dist_matrix.size m in
   let d = Dist_matrix.copy m in
+  (* Straight on the row-major array of the private copy: the generators
+     run this O(n^3) pass on matrices of hundreds of species.  Each write
+     sets both halves of an off-diagonal pair to a finite non-negative
+     sum, so the matrix invariants hold.  [d(i,k)] is read once per row,
+     which is safe because the [j = k] step never improves it. *)
+  let a = Dist_matrix.unsafe_data d in
   for k = 0 to n - 1 do
     for i = 0 to n - 1 do
+      let dik = a.((i * n) + k) in
       for j = i + 1 to n - 1 do
-        let via = Dist_matrix.get d i k +. Dist_matrix.get d k j in
-        if via < Dist_matrix.get d i j then Dist_matrix.set d i j via
+        let via = dik +. a.((k * n) + j) in
+        if via < a.((i * n) + j) then begin
+          a.((i * n) + j) <- via;
+          a.((j * n) + i) <- via
+        end
       done
     done
   done;

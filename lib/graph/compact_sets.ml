@@ -36,19 +36,6 @@ let is_compact dm members =
     !max_in < !min_out
   end
 
-let brute_force dm =
-  let n = Dist_matrix.size dm in
-  if n > 20 then invalid_arg "Compact_sets.brute_force: n too large";
-  let acc = ref [] in
-  for mask = 1 to (1 lsl n) - 1 do
-    let members =
-      List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)
-    in
-    let k = List.length members in
-    if k >= 2 && k < n && is_compact dm members then acc := members :: !acc
-  done;
-  canonical !acc
-
 let find_naive ?mst dm =
   let n = Dist_matrix.size dm in
   if n < 2 then []
@@ -84,78 +71,49 @@ let find_general ~alpha dm =
   let n = Dist_matrix.size dm in
   if n < 3 then []
   else begin
-    let mst = Mst.prim dm in
     let uf = Union_find.create n in
-    (* Per-root state.  [ctable] rows exist for every vertex but only root
-       rows are meaningful; [live] tracks current roots. *)
     let max_in = Array.make n neg_infinity in
     let members = Array.init n (fun i -> [ i ]) in
-    let ctable =
-      Array.init n (fun i ->
-          Array.init n (fun j ->
-              if i = j then infinity else Dist_matrix.get dm i j))
-    in
-    let live = Array.make n true in
     let acc = ref [] in
-    let merge_count = ref 0 in
-    List.iter
-      (fun (e : Wgraph.edge) ->
-        incr merge_count;
-        if !merge_count <= n - 2 then begin
+    (* Cut property: the cheapest edge leaving a component is the MST edge
+       that next merges it, so each component is tested just before that
+       merge, against the edge's weight. *)
+    let test r (e : Wgraph.edge) =
+      if Union_find.size uf r >= 2 && max_in.(r) < alpha *. e.w then
+        acc := members.(r) :: !acc
+    in
+    let rec sweep = function
+      | [] -> ()
+      | (e : Wgraph.edge) :: rest ->
           let ra = Union_find.find uf e.u and rb = Union_find.find uf e.v in
-          (* Cross maximum: every vertex pair is scanned exactly once over
-             the whole sweep, so this is O(n^2) amortised. *)
-          let cross = ref neg_infinity in
-          List.iter
-            (fun i ->
-              List.iter
-                (fun j -> cross := Float.max !cross (Dist_matrix.get dm i j))
-                members.(rb))
-            members.(ra);
-          let r = Union_find.union uf e.u e.v in
-          let o = if r = ra then rb else ra in
-          max_in.(r) <- Float.max !cross (Float.max max_in.(ra) max_in.(rb));
-          members.(r) <- List.rev_append members.(o) members.(r);
-          members.(o) <- [];
-          live.(o) <- false;
-          for c = 0 to n - 1 do
-            if live.(c) && c <> r then begin
-              let d = Float.min ctable.(r).(c) ctable.(o).(c) in
-              ctable.(r).(c) <- d;
-              ctable.(c).(r) <- d
-            end
-          done;
-          let min_out = ref infinity in
-          for c = 0 to n - 1 do
-            if live.(c) && c <> r then
-              min_out := Float.min !min_out ctable.(r).(c)
-          done;
-          if max_in.(r) < alpha *. !min_out then acc := members.(r) :: !acc
-        end)
-      mst;
+          test ra e;
+          test rb e;
+          (* The last edge forms the full vertex set, which is never
+             tested, so it needs no merge. *)
+          if rest <> [] then begin
+            (* Cross maximum: every vertex pair is scanned at most once
+               over the whole sweep, so this is O(n^2) amortised. *)
+            let cross = ref neg_infinity in
+            List.iter
+              (fun i ->
+                List.iter
+                  (fun j -> cross := Float.max !cross (Dist_matrix.get dm i j))
+                  members.(rb))
+              members.(ra);
+            let r = Union_find.union uf e.u e.v in
+            let o = if r = ra then rb else ra in
+            max_in.(r) <- Float.max !cross (Float.max max_in.(ra) max_in.(rb));
+            members.(r) <- List.rev_append members.(o) members.(r);
+            members.(o) <- [];
+            sweep rest
+          end
+    in
+    sweep (Mst.prim dm);
     canonical !acc
   end
 
 let find dm = find_general ~alpha:1. dm
 
-(* Keep a laminar subfamily of a possibly-crossing family: insert sets
-   from largest to smallest, dropping any that cross a kept one. *)
-let laminar_filter sets =
-  let crosses a b =
-    let inter = List.exists (fun x -> List.mem x b) a in
-    let a_in_b = List.for_all (fun x -> List.mem x b) a in
-    let b_in_a = List.for_all (fun x -> List.mem x a) b in
-    inter && (not a_in_b) && not b_in_a
-  in
-  let by_size_desc =
-    List.sort (fun a b -> compare (List.length b) (List.length a)) sets
-  in
-  List.rev
-    (List.fold_left
-       (fun kept set ->
-         if List.exists (crosses set) kept then kept else set :: kept)
-       [] by_size_desc)
-
 let find_relaxed ~alpha dm =
   if alpha < 1. then invalid_arg "Compact_sets.find_relaxed: alpha < 1";
-  canonical (laminar_filter (find_general ~alpha dm))
+  find_general ~alpha dm

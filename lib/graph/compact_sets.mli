@@ -10,12 +10,13 @@ open Import
     and the MST restricted to a compact set spans it (Lemma 4) — which is
     why a single Kruskal sweep over the MST edges discovers all of them.
 
-    Three implementations are provided: a brute-force reference (for
-    tests), the paper's algorithm as published (MST + sweep with
-    recomputed [Max(A)] / [Min(A, !A)], O(n^3) total), and an optimised
-    O(n^2) version in the spirit of Liang (1993) that maintains
-    per-component maxima and a component-pair minimum table.  All three
-    agree on every input (see the test suite).
+    Two implementations are provided: the paper's algorithm as published
+    (MST + sweep with recomputed [Max(A)] / [Min(A, !A)], O(n^3) total)
+    and an O(n^2) version in the spirit of Liang (1993).  The latter
+    keeps per-component maxima and needs no outgoing distances at all:
+    by the cut property, the cheapest edge leaving a component is the
+    MST edge that next merges it.  A brute-force reference lives in the
+    test suite; all three agree on every input.
 
     Tie-breaking note: when several MSTs exist (equal-weight edges, the
     paper's Figure 7 situation), the discovered compact sets do not
@@ -29,21 +30,19 @@ val is_compact : Dist_matrix.t -> int list -> bool
     [< 2] or [>= n] and raises [Invalid_argument] on out-of-range or
     duplicate members. *)
 
-val brute_force : Dist_matrix.t -> int list list
-(** All compact sets by exhaustive enumeration of subsets — O(2^n);
-    guarded to [n <= 20].  For tests.  Sets are sorted ascending; the
-    list is ordered by size, then lexicographically. *)
-
 val find_naive : ?mst:Wgraph.edge list -> Dist_matrix.t -> int list list
 (** The paper's published algorithm: Kruskal MST (or the supplied [mst]),
     ascending edge sweep, full recomputation of [Max(A)] and
-    [Min(A, !A)] after each merge.  Same output convention as
-    {!brute_force}. *)
+    [Min(A, !A)] after each merge.  Sets are sorted ascending; the list
+    is ordered by size, then lexicographically.  Kept beside {!find} as
+    the baseline that ablation A-3 ([bench --exp ablation-compact])
+    times. *)
 
 val find : Dist_matrix.t -> int list list
-(** Optimised O(n^2) discovery (Prim MST + incremental component maxima +
-    component-pair minimum table).  Same output convention as
-    {!brute_force}. *)
+(** Optimised O(n^2) discovery: Prim MST, then one ascending sweep that
+    keeps each component's maximum internal distance and tests a
+    component against the weight of the MST edge that next merges it.
+    Same output as {!find_naive}. *)
 
 val find_relaxed : alpha:float -> Dist_matrix.t -> int list list
 (** {e Alpha-compact} sets: candidates from the same sweep whose maximum
@@ -51,6 +50,6 @@ val find_relaxed : alpha:float -> Dist_matrix.t -> int list list
     distance.  [alpha = 1.] is exactly {!find}; [alpha > 1.] accepts
     looser clusters, giving the decomposition more to work with on noisy
     matrices at some cost in tree quality (an extension beyond the
-    paper; see ablation A-9).  Relaxed sets can cross, so the result is
-    reduced to a laminar subfamily (larger sets win, then sweep order).
+    paper; see ablation A-9).  Every candidate is a component of one
+    union-find sweep, so the result is laminar like {!find}'s.
     @raise Invalid_argument if [alpha < 1.]. *)

@@ -12,11 +12,7 @@ let representative t =
   | Elem i -> i
   | Set s -> s.members.(0)
 
-let compare_by_rep a b = compare (representative a) (representative b)
-
-(* Mutable scaffolding used during construction only. *)
-type builder = { bmembers : int array; mutable bchildren : builder_child list }
-and builder_child = Bset of builder | Belem of int
+let size t = match t with Elem _ -> 1 | Set s -> Array.length s.members
 
 let of_sets ~n sets =
   let sets =
@@ -32,82 +28,45 @@ let of_sets ~n sets =
             if i < 0 || i >= n then
               invalid_arg "Laminar.of_sets: member out of range")
           arr;
+        if Array.length arr = n then
+          invalid_arg "Laminar.of_sets: a set may not cover all vertices";
         arr)
       sets
   in
-  (* Insert big sets first so that each set lands below every strict
-     superset already placed. *)
-  let sets =
-    List.sort (fun a b -> compare (Array.length b) (Array.length a)) sets
-  in
-  let top = { bmembers = Array.init n Fun.id; bchildren = [] } in
-  for i = 0 to n - 1 do
-    top.bchildren <- Belem i :: top.bchildren
-  done;
-  let subset a b =
-    (* both sorted *)
-    let la = Array.length a and lb = Array.length b in
-    la <= lb
-    &&
-    let j = ref 0 in
-    Array.for_all
-      (fun x ->
-        while !j < lb && b.(!j) < x do
-          incr j
-        done;
-        !j < lb && b.(!j) = x)
-      a
-  in
-  let intersects a b =
-    Array.exists (fun x -> Array.exists (fun y -> x = y) b) a
-  in
-  let rec insert node set =
-    (* Precondition: set is a subset of node.bmembers and is distinct from
-       every set already in the tree (duplicates were removed upstream). *)
-    match
-      List.find_opt
-        (function Bset c -> subset set c.bmembers | Belem _ -> false)
-        node.bchildren
-    with
-    | Some (Bset child) -> insert child set
-    | Some (Belem _) -> assert false
-    | None ->
-        (* The set becomes a new child here; it absorbs every current
-           child it contains.  Partial overlap with a child set means the
-           family is not laminar. *)
-        let absorbed, kept =
-          List.partition
-            (function
-              | Belem i -> Array.exists (fun x -> x = i) set
-              | Bset c -> subset c.bmembers set)
-            node.bchildren
-        in
-        List.iter
-          (function
-            | Bset c when intersects c.bmembers set ->
-                invalid_arg "Laminar.of_sets: sets are not laminar"
-            | _ -> ())
-          kept;
-        let fresh = { bmembers = set; bchildren = absorbed } in
-        node.bchildren <- Bset fresh :: kept
-  in
-  List.iter
-    (fun set ->
-      if Array.length set = n then
-        invalid_arg "Laminar.of_sets: a set may not cover all vertices";
-      insert top set)
+  (* Bottom-up: [top.(i)] is the largest tree built so far that holds
+     vertex [i].  Taken in ascending size, a set of a laminar family
+     contains every earlier set it meets, so it adopts the top trees of
+     its members as its children.  Those trees cover the set exactly
+     unless one of them reaches outside it, i.e. the family crosses.
+     [List.sort_uniq compare] orders arrays by length first and drops
+     identical sets. *)
+  let top = Array.init n (fun i -> Elem i) in
+  let adopted_by = Array.make n (-1) in
+  List.iteri
+    (fun k set ->
+      let children = ref [] and covered = ref 0 in
+      Array.iter
+        (fun i ->
+          let t = top.(i) in
+          let r = representative t in
+          if adopted_by.(r) <> k then begin
+            adopted_by.(r) <- k;
+            covered := !covered + size t;
+            children := t :: !children
+          end)
+        set;
+      if !covered <> Array.length set then
+        invalid_arg "Laminar.of_sets: sets are not laminar";
+      (* Members ascend, so each child is met first at its smallest
+         member: the children come out ordered by representative. *)
+      let node = Set { members = set; children = List.rev !children } in
+      Array.iter (fun i -> top.(i) <- node) set)
     (List.sort_uniq compare sets);
-  let rec freeze = function
-    | Belem i -> Elem i
-    | Bset b ->
-        Set
-          {
-            members = b.bmembers;
-            children =
-              List.sort compare_by_rep (List.map freeze b.bchildren);
-          }
-  in
-  { n; roots = List.sort compare_by_rep (List.map freeze top.bchildren) }
+  let roots = ref [] in
+  for i = n - 1 downto 0 do
+    if representative top.(i) = i then roots := top.(i) :: !roots
+  done;
+  { n; roots = !roots }
 
 let rec count_sets = function
   | Elem _ -> 0

@@ -17,9 +17,12 @@ type t = { n : int; roots : tree list }
     children are the maximal compact sets and the uncovered vertices. *)
 
 val of_sets : n:int -> int list list -> t
-(** Build the forest.
+(** Build the forest bottom-up: in ascending size, each set adopts the
+    largest trees built so far that hold its members as its children.
+    O(Σ|S| + k log k) for [k] sets.  Identical sets are merged silently.
     @raise Invalid_argument if the sets are not laminar, contain
-    out-of-range or duplicate members, or have fewer than 2 members. *)
+    out-of-range or duplicate members, have fewer than 2 members, or one
+    of them covers all [n] vertices. *)
 
 val members : tree -> int list
 (** Vertices covered by a tree, ascending. *)

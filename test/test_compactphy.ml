@@ -54,6 +54,60 @@ let test_decompose_no_sets () =
   Alcotest.(check int) "one block" 1 (Decompose.n_blocks deco);
   Alcotest.(check int) "block size" 5 (Decompose.largest_block deco)
 
+(* Decompositions at front-end scale, pinned byte for byte.  The
+   brute-force and naive finders stop at a few dozen species, so these
+   digests are what ties the optimised finder and forest builder to a
+   fixed output on matrices the size the decomposition is used at.  Each
+   digest covers the forest as [Laminar.pp] prints it plus every block's
+   small matrix in PHYLIP; any change to which sets are found, how they
+   nest, how children are ordered or how blocks are built changes it. *)
+let scale_digest deco =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (Format.asprintf "%a@." Laminar.pp deco.Decompose.forest);
+  let add (block : Decompose.block) =
+    Buffer.add_string b (Distmat.Matrix_io.to_phylip block.Decompose.small)
+  in
+  add deco.Decompose.root_block;
+  List.iter (fun (_, block) -> add block) deco.Decompose.set_blocks;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let scale_pins =
+  (* (seed, n, compact sets, digest at relaxation 1, digest at 1.5) *)
+  [
+    ( 1,
+      800,
+      504,
+      "86c3f255349d863f9138669d4e8ea061",
+      "4d4522f8b40c1da4a04f1a01b2a75c39" );
+    ( 2,
+      810,
+      505,
+      "12192fa76b59fd0a1ed1969fea58943e",
+      "fa61f0f19794d395d90e5b0f16c30796" );
+    ( 3,
+      790,
+      501,
+      "0e6c643ae714a6d6749a020a14b1237d",
+      "e9251c05c848fdee2c7cdc3673e95ed6" );
+  ]
+
+let test_scale_digests () =
+  List.iter
+    (fun (seed, n, n_compact, strict, relaxed) ->
+      let m = Gen.near_ultrametric ~rng:(rng seed) n in
+      let found = List.length (Cgraph.Compact_sets.find m) in
+      if found < 100 then
+        Alcotest.failf "seed %d: only %d compact sets" seed found;
+      Alcotest.(check int) (Printf.sprintf "seed %d sets" seed) n_compact found;
+      List.iter
+        (fun (relaxation, expect) ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d relaxation %g" seed relaxation)
+            expect
+            (scale_digest (Decompose.decompose ~relaxation m)))
+        [ (1., strict); (1.5, relaxed) ])
+    scale_pins
+
 let test_max_linkage_is_metric () =
   (* Max-linkage representative matrices built from a metric are
      metrics. *)
@@ -349,6 +403,7 @@ let () =
           Alcotest.test_case "max linkage metric" `Quick
             test_max_linkage_is_metric;
           Alcotest.test_case "linkage ordering" `Quick test_linkage_ordering;
+          Alcotest.test_case "scale digests" `Quick test_scale_digests;
         ] );
       ( "pipeline",
         [

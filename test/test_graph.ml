@@ -117,6 +117,20 @@ let test_is_spanning_tree_rejects_cycle () =
 
 (* --- Compact_sets --- *)
 
+(* Reference oracle: every subset checked against the definition, O(2^n).
+   Same output convention as the library finders: sets ascending, the
+   list ordered by size, then lexicographically. *)
+let brute_force dm =
+  let n = Dist_matrix.size dm in
+  let acc = ref [] in
+  for mask = 1 to (1 lsl n) - 1 do
+    let members =
+      List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)
+    in
+    if Compact_sets.is_compact dm members then acc := members :: !acc
+  done;
+  List.sort (fun a b -> compare (List.length a, a) (List.length b, b)) !acc
+
 let test_paper_example_sets () =
   Alcotest.(check (list (list int)))
     "paper example" paper_compact_sets
@@ -138,7 +152,7 @@ let test_is_compact_direct () =
 let test_three_implementations_agree () =
   for seed = 0 to 19 do
     let m = Gen.near_ultrametric ~rng:(rng seed) ~noise:0.3 11 in
-    let bf = Compact_sets.brute_force m in
+    let bf = brute_force m in
     let naive = Compact_sets.find_naive m in
     let fast = Compact_sets.find m in
     Alcotest.(check (list (list int))) "naive = brute force" bf naive;
@@ -150,7 +164,7 @@ let test_uniform_random_agree () =
     let m = Gen.uniform_metric ~rng:(rng seed) 12 in
     Alcotest.(check (list (list int)))
       "fast = brute force"
-      (Compact_sets.brute_force m)
+      (brute_force m)
       (Compact_sets.find m)
   done
 
@@ -211,15 +225,17 @@ let test_relaxed_alpha_one_equals_find () =
   done
 
 let test_relaxed_monotone_in_alpha () =
-  (* Larger alpha can only keep accepting the sweep's candidates, so the
-     (pre-filter) family grows; after laminar filtering the count never
-     goes below the strict count on these seeds. *)
+  (* Larger alpha tests the same sweep's components against a looser
+     bound, so every strict compact set is still accepted and the family
+     can only grow. *)
   for seed = 0 to 9 do
     let m = Gen.uniform_metric ~rng:(rng (600 + seed)) 15 in
-    let strict = List.length (Compact_sets.find m) in
-    let relaxed = List.length (Compact_sets.find_relaxed ~alpha:1.5 m) in
-    if relaxed < strict then
-      Alcotest.failf "seed %d: relaxed %d < strict %d" seed relaxed strict
+    let relaxed = Compact_sets.find_relaxed ~alpha:1.5 m in
+    List.iter
+      (fun set ->
+        if not (List.mem set relaxed) then
+          Alcotest.failf "seed %d: strict set dropped at alpha 1.5" seed)
+      (Compact_sets.find m)
   done
 
 let test_relaxed_family_is_laminar () =
@@ -237,6 +253,33 @@ let test_relaxed_rejects_small_alpha () =
   (match Compact_sets.find_relaxed ~alpha:0.9 m with
   | _ -> Alcotest.fail "expected exception"
   | exception Invalid_argument _ -> ())
+
+(* Integer distances drawn from 1-6 distinct values: ties everywhere,
+   many coexisting MSTs, and components whose cheapest outgoing edge is
+   tied with edges elsewhere in the sweep. *)
+let tie_heavy_matrix r =
+  let n = 3 + Random.State.int r 10 in
+  let levels = 1 + Random.State.int r 6 in
+  Dist_matrix.init n (fun _ _ -> float_of_int (1 + Random.State.int r levels))
+
+let test_tie_heavy_agree () =
+  for seed = 0 to 499 do
+    let m = tie_heavy_matrix (rng seed) in
+    let n = Dist_matrix.size m in
+    let bf = brute_force m in
+    let ctx what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check (list (list int)))
+      (ctx "fast = brute force") bf (Compact_sets.find m);
+    Alcotest.(check (list (list int)))
+      (ctx "naive = brute force") bf (Compact_sets.find_naive m);
+    List.iter
+      (fun alpha ->
+        match Laminar.of_sets ~n (Compact_sets.find_relaxed ~alpha m) with
+        | (_ : Laminar.t) -> ()
+        | exception Invalid_argument msg ->
+            Alcotest.failf "seed %d alpha %g: %s" seed alpha msg)
+      [ 1.3; 2.; 3.5 ]
+  done
 
 (* --- Laminar --- *)
 
@@ -279,6 +322,87 @@ let test_laminar_empty () =
   Alcotest.(check int) "no sets" 0 (Laminar.n_sets t);
   Alcotest.(check int) "four roots" 4 (List.length t.Laminar.roots)
 
+(* Random, mostly crossing families: up to five subsets of [0, n), drawn
+   by size so that equal-size overlaps, singletons and the full set all
+   turn up, plus repeats of earlier sets listed in another order. *)
+let random_family r n =
+  let subset () =
+    let k = 1 + Random.State.int r n in
+    let perm = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int r (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+    List.sort compare (Array.to_list (Array.sub perm 0 k))
+  in
+  let rec build acc count =
+    if count = 0 then acc
+    else
+      let set =
+        if acc <> [] && Random.State.int r 4 = 0 then
+          List.rev (List.nth acc (Random.State.int r (List.length acc)))
+        else subset ()
+      in
+      build (set :: acc) (count - 1)
+  in
+  build [] (Random.State.int r 6)
+
+(* Test-side oracle: valid sizes, and every two sets disjoint or nested. *)
+let laminar_oracle ~n sets =
+  let subset a b = List.for_all (fun x -> List.mem x b) a in
+  let ok_pair a b =
+    (not (List.exists (fun x -> List.mem x b) a)) || subset a b || subset b a
+  in
+  List.for_all (fun s -> List.length s >= 2 && List.length s < n) sets
+  && List.for_all (fun a -> List.for_all (ok_pair a) sets) sets
+
+let check_forest ~n sets (t : Laminar.t) =
+  let nodes = ref [] in
+  let rec visit = function
+    | Laminar.Elem i -> [ i ]
+    | Laminar.Set s ->
+        let members = Array.to_list s.members in
+        nodes := members :: !nodes;
+        let covered = List.concat_map visit s.children in
+        if List.sort compare covered <> members then
+          Alcotest.fail "children do not partition their node";
+        members
+  in
+  let covered = List.concat_map visit t.Laminar.roots in
+  if List.sort compare covered <> List.init n Fun.id then
+    Alcotest.fail "roots do not partition the vertices";
+  let distinct = List.sort_uniq compare (List.map (List.sort compare) sets) in
+  Alcotest.(check (list (list int)))
+    "one Set node per distinct set" distinct
+    (List.sort compare !nodes)
+
+let test_laminar_parity () =
+  let accepted = ref 0 and rejected = ref 0 in
+  for seed = 0 to 2999 do
+    let r = rng seed in
+    let n = 2 + Random.State.int r 8 in
+    let sets = random_family r n in
+    let built =
+      match Laminar.of_sets ~n sets with
+      | t -> Ok t
+      | exception Invalid_argument msg -> Error msg
+    in
+    match (laminar_oracle ~n sets, built) with
+    | true, Ok t ->
+        incr accepted;
+        check_forest ~n sets t
+    | false, Error _ -> incr rejected
+    | false, Ok _ ->
+        Alcotest.failf "seed %d: accepted a non-laminar family" seed
+    | true, Error msg ->
+        Alcotest.failf "seed %d: rejected a laminar family (%s)" seed msg
+  done;
+  if !accepted < 300 || !rejected < 300 then
+    Alcotest.failf "unbalanced sample: %d accepted, %d rejected" !accepted
+      !rejected
+
 (* --- qcheck properties --- *)
 
 let arb_seed_n lo hi =
@@ -290,7 +414,7 @@ let prop_fast_equals_brute =
   QCheck.Test.make ~name:"compact sets: fast = brute force" ~count:40
     (arb_seed_n 3 12) (fun (seed, n) ->
       let m = Gen.near_ultrametric ~rng:(rng seed) ~noise:0.25 n in
-      Compact_sets.brute_force m = Compact_sets.find m)
+      brute_force m = Compact_sets.find m)
 
 let prop_compact_sets_laminar =
   QCheck.Test.make ~name:"compact sets are laminar" ~count:60
@@ -390,6 +514,7 @@ let () =
             test_relaxed_family_is_laminar;
           Alcotest.test_case "relaxed rejects alpha<1" `Quick
             test_relaxed_rejects_small_alpha;
+          Alcotest.test_case "tie-heavy agree" `Quick test_tie_heavy_agree;
         ] );
       ( "laminar",
         [
@@ -403,6 +528,8 @@ let () =
           Alcotest.test_case "internal nodes" `Quick
             test_laminar_internal_nodes;
           Alcotest.test_case "empty" `Quick test_laminar_empty;
+          Alcotest.test_case "accept/reject parity" `Quick
+            test_laminar_parity;
         ] );
       ( "properties",
         q
