@@ -38,7 +38,7 @@ let read_matrix path =
 type obs_cfg = {
   trace : string option;
   metrics : string option;
-  progress : Obs.Progress.t option;
+  progress : bool;
   telemetry_port : int option;
   telemetry_socket : string option;
   flight : string option;
@@ -67,9 +67,7 @@ let obs_setup style_renderer level trace metrics progress telemetry_port
   {
     trace;
     metrics;
-    progress =
-      (if progress then Some (Obs.Progress.create ~interval_s:0.5 ())
-       else None);
+    progress;
     telemetry_port;
     telemetry_socket;
     flight;
@@ -130,7 +128,7 @@ let obs_term =
           ~doc:
             "Arm the in-memory flight recorder and write its tail (the \
              last ~4096 events: incumbents, block lifecycles, budget \
-             ticks, worker heartbeats) to $(docv) as JSON when the run \
+             stops, worker heartbeats) to $(docv) as JSON when the run \
              ends — including on Ctrl-C and crashes.")
   in
   Cmdliner.Term.(
@@ -164,11 +162,16 @@ let with_obs cfg f =
       Obs.Span.stream_to buf path
   | None -> ());
   (* Any live-telemetry surface arms the flight recorder; solver emit
-     sites cost one atomic load when it stays off. *)
+     sites cost one atomic load when it stays off.  --progress is one of
+     them: it prints the recorder's worker heartbeats. *)
   let recorder =
     if cfg.telemetry_port <> None || cfg.telemetry_socket <> None
-       || cfg.flight <> None
-    then Some (Obs.Recorder.create ())
+       || cfg.flight <> None || cfg.progress
+    then
+      let progress =
+        if cfg.progress then Some (Obs.Progress.create ()) else None
+      in
+      Some (Obs.Recorder.create ?progress ())
     else None
   in
   Option.iter Obs.Recorder.install recorder;
@@ -492,14 +495,13 @@ let executor_config_term =
   in
   Term.(const set $ executor_opt $ workers_addr_opt $ config_term)
 
-(* Attach the runtime handles no flag spells — the progress sink and
-   trace id of [obs], and the SIGINT [cancel] flag — then surface an
-   incoherent flag combination (e.g. --executor tcp without
-   --workers-addr) as a usage error, not a backtrace. *)
+(* Attach the runtime handles no flag spells — the trace id of [obs]
+   and the SIGINT [cancel] flag — then surface an incoherent flag
+   combination (e.g. --executor tcp without --workers-addr) as a usage
+   error, not a backtrace. *)
 let finish_config ?cancel obs config =
   let config =
     config
-    |> apply obs.progress Run_config.with_progress
     |> apply obs.run_id Run_config.with_run_id
     |> apply cancel Run_config.with_cancel
   in
@@ -798,9 +800,7 @@ let tree_cmd =
           { config.Run_config.solver with Solver.collect_all = true }
         in
         let r =
-          Solver.solve ~options
-            ~budget:(Run_config.budget config)
-            ?progress:cfg.progress m
+          Solver.solve ~options ~budget:(Run_config.budget config) m
         in
         if r.Solver.status <> Budget.Exact then
           Fmt.epr

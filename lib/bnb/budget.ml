@@ -122,15 +122,9 @@ let rec check m =
       (match verdict with Some s -> trip m s | None -> ());
       verdict
 
-type ticker = {
-  m : monitor;
-  mutable pending : int;
-  (* next flight-recorder Budget_tick, monotonic ns; the ticker is owned
-     by one worker, so a plain mutable needs no synchronisation *)
-  mutable next_emit_ns : int64;
-}
+type ticker = { m : monitor; mutable pending : int }
 
-let ticker m = { m; pending = 0; next_emit_ns = Int64.min_int }
+let ticker m = { m; pending = 0 }
 
 let rec charge m k =
   ignore (Atomic.fetch_and_add m.node_count k);
@@ -146,18 +140,6 @@ let tick tk =
   tk.pending <- tk.pending + 1;
   if tk.pending >= tk.m.budget.poll_every then begin
     flush tk;
-    (* Already the slow path (once per [poll_every] expansions), so the
-       flight-recorder progress tick hides here: one atomic load when no
-       recorder is installed, at most ~4 events/s per worker when one
-       is. *)
-    if Obs.Recorder.enabled () then begin
-      let now = Obs.Clock.now_ns () in
-      if now >= tk.next_emit_ns then begin
-        tk.next_emit_ns <- Int64.add now 250_000_000L;
-        Obs.Recorder.emit_ambient
-          (Obs.Events.Budget_tick { nodes = Atomic.get tk.m.node_count })
-      end
-    end;
     check tk.m
   end
   else Atomic.get tk.m.state

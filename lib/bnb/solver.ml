@@ -73,9 +73,10 @@ module M = struct
     flush_live lv stats;
     Obs.Metrics.observe expanded_per_solve (float_of_int stats.Stats.expanded);
     Obs.Metrics.observe max_open (float_of_int stats.Stats.max_open);
-    Obs.Metrics.observe solve_ms (elapsed_s *. 1e3);
-    Obs.Attribution.flush stats.Stats.att
+    Obs.Metrics.observe solve_ms (elapsed_s *. 1e3)
 end
+
+let record_metrics stats elapsed_s = M.flush (M.live ()) stats elapsed_s
 
 type lb_kind = LB0 | LB1
 type mode33 = Off | Third_only | Every_insertion
@@ -196,6 +197,23 @@ let prepare ?(options = default_options) dm =
   in
   { pm; perm; lb_extra; ub0; incumbent0 = heuristic_tree; opts = options; kstate }
 
+(* Resuming re-derives the permutation (deterministic for a given
+   matrix) and re-costs the checkpointed frontier, so only trees are
+   ever persisted — floats are recomputed, never trusted. *)
+let start problem resume =
+  match resume with
+  | None -> ([ Bb_tree.root problem.pm ], problem.ub0, problem.incumbent0)
+  | Some r ->
+      let nodes =
+        List.map
+          (fun (k, tree) ->
+            let cost = Utree.weight tree in
+            { Bb_tree.tree; k; cost; lb = cost +. problem.lb_extra.(k) })
+          r.r_frontier
+      in
+      if r.r_ub < problem.ub0 then (nodes, r.r_ub, r.r_incumbent)
+      else (nodes, problem.ub0, problem.incumbent0)
+
 let relabel_out problem t =
   let p = Permutation.to_array problem.perm in
   Utree.relabel (fun r -> p.(r)) t
@@ -303,7 +321,7 @@ let certify ~gap ~exhausted ~cost ~lower_bound =
   in
   if exhausted && gap > 0. then Float.min gap raw else raw
 
-let solve ?(options = default_options) ?budget ?monitor ?resume ?progress dm =
+let solve ?(options = default_options) ?budget ?monitor ?resume dm =
   let n = Dist_matrix.size dm in
   if n = 1 then
     {
@@ -334,23 +352,7 @@ let solve ?(options = default_options) ?budget ?monitor ?resume ?progress dm =
     let rpulse = Obs.Recorder.pulse () in
     let mlive = M.live () in
     let interrupted = ref None in
-    (* Resuming re-derives the permutation (deterministic for a given
-       matrix) and re-costs the checkpointed frontier, so only trees are
-       ever persisted — floats are recomputed, never trusted. *)
-    let seed_nodes, ub_init, best_init =
-      match resume with
-      | None -> (None, problem.ub0, problem.incumbent0)
-      | Some r ->
-          let nodes =
-            List.map
-              (fun (k, tree) ->
-                let cost = Utree.weight tree in
-                { Bb_tree.tree; k; cost; lb = cost +. problem.lb_extra.(k) })
-              r.r_frontier
-          in
-          if r.r_ub < problem.ub0 then (Some nodes, r.r_ub, r.r_incumbent)
-          else (Some nodes, problem.ub0, problem.incumbent0)
-    in
+    let start_nodes, ub_init, best_init = start problem resume in
     let ub = ref ub_init in
     let best = ref best_init in
     let ties = ref [] in
@@ -418,9 +420,7 @@ let solve ?(options = default_options) ?budget ?monitor ?resume ?progress dm =
       | Some cap -> stats.Stats.expanded >= cap
       | None -> false
     in
-    (match seed_nodes with
-    | None -> push (Bb_tree.root problem.pm)
-    | Some nodes -> List.iter push (List.rev nodes));
+    List.iter push (List.rev start_nodes);
     (* On interruption the node in hand goes back on the open list, so
        the drained frontier is exactly the set of unexplored subtrees:
        min over its lower bounds certifies the global optimum. *)
@@ -478,12 +478,6 @@ let solve ?(options = default_options) ?budget ?monitor ?resume ?progress dm =
                     ~expanded:stats.Stats.expanded ~pruned:stats.Stats.pruned
                     ~open_nodes:olen ~ub:!ub ~lb:node.Bb_tree.lb
                 then M.flush_live mlive stats;
-                (match progress with
-                | None -> ()
-                | Some p ->
-                    Obs.Progress.sample p ~worker:0
-                      ~expanded:stats.Stats.expanded ~pruned:stats.Stats.pruned
-                      ~open_depth:olen ~ub:!ub ~lb:node.Bb_tree.lb);
                 loop ()
           end
     in

@@ -156,7 +156,6 @@ val solve :
   ?budget:Budget.t ->
   ?monitor:Budget.monitor ->
   ?resume:resume ->
-  ?progress:Obs.Progress.t ->
   Dist_matrix.t ->
   outcome
 (** Construct the minimum ultrametric tree of a metric distance matrix.
@@ -177,10 +176,12 @@ val solve :
     the matrix must be the one the checkpoint was taken from.
 
     Telemetry: the whole search runs under an [Obs.Span] named
-    ["bnb.solve"]; pass [progress] to get rate-limited live samples
-    (expanded/pruned/open-depth/UB-LB gap) from the inner loop; the
-    final stats are also flushed into the [bnb.*] metrics of
-    {!Obs.Metrics.default}.
+    ["bnb.solve"].  The inner loop's one sampler is an
+    {!Obs.Recorder.sample} pulse: with a recorder installed it emits a
+    rate-limited worker heartbeat (expanded/pruned/open/UB/LB), which
+    also pushes the counters so far into the [bnb.*] metrics, and which
+    is what [--progress] prints.  The final stats go to the metrics
+    through {!record_metrics}.
 
     @raise Invalid_argument on an empty matrix. *)
 
@@ -202,6 +203,14 @@ type problem = {
 
 val prepare : ?options:options -> Dist_matrix.t -> problem
 
+val start :
+  problem -> resume option -> Bb_tree.node list * float * Utree.t option
+(** The search's starting open list, upper bound and incumbent: the
+    root with the heuristic's bound, or a resumed frontier re-costed
+    from its trees (only trees are trusted) with the better of the
+    checkpoint's and the heuristic's incumbents.  Nodes are in
+    exploration order. *)
+
 val expand :
   ?ub:float -> problem -> Bb_tree.node -> Stats.t -> Bb_tree.node list
 (** Children of a node after 3-3 filtering (recorded in the stats), in
@@ -217,6 +226,13 @@ val expand :
     safety margin so the surviving set is a superset of what the
     caller's exact bound keeps — pass a stale or conservative [ub]
     (e.g. a racy snapshot of a shared incumbent) freely. *)
+
+val record_metrics : Stats.t -> float -> unit
+(** [record_metrics stats elapsed_s] adds one finished solve to the
+    process-wide [bnb.*] metrics of {!Obs.Metrics.default}: the solve
+    count, the search counters, the [bnb.pruned.<reason>] attribution
+    totals and the per-solve histograms.  {!solve} calls it once per
+    solve; the parallel solver calls it once with its merged stats. *)
 
 val relabel_out : problem -> Utree.t -> Utree.t
 (** Map a tree over permuted labels back to the original species. *)

@@ -141,7 +141,7 @@ let frontier_out matrix = function
 (* The search itself: the sequential solver, or the domain-parallel one
    when the job's intra-solve budget allows — or, for the sim backend,
    the master/slave cluster simulator on a [j_workers]-slave cluster. *)
-let search ~sim ~monitor ?progress ?resume job =
+let search ~sim ~monitor ?resume job =
   let small = job.j_matrix in
   let options = job.j_options in
   if sim then begin
@@ -168,7 +168,7 @@ let search ~sim ~monitor ?progress ?resume job =
     }
   end
   else if job.j_workers <= 1 then begin
-    let r = Solver.solve ~options ~monitor ?resume ?progress small in
+    let r = Solver.solve ~options ~monitor ?resume small in
     {
       s_stats = r.Solver.stats;
       s_tree = r.Solver.tree;
@@ -182,7 +182,7 @@ let search ~sim ~monitor ?progress ?resume job =
   end
   else begin
     let r =
-      Par_bnb.solve ~options ~monitor ?resume ?progress
+      Par_bnb.solve ~options ~monitor ?resume
         ~n_workers:job.j_workers small
     in
     {
@@ -201,7 +201,7 @@ let search ~sim ~monitor ?progress ?resume job =
    skips the search entirely; an interrupted one continues from its
    frontier.  Cache-opted jobs consult the installed sub-solve cache
    first and offer their certified result back afterwards. *)
-let solve ~sim ~monitor ?progress job =
+let solve ~sim ~monitor job =
   match cache_lookup job with
   | Some sv -> sv
   | None -> (
@@ -214,12 +214,12 @@ let solve ~sim ~monitor ?progress job =
             let resume =
               match rs with Some (`Restart r) -> Some r | _ -> None
             in
-            let sv = search ~sim ~monitor ?progress ?resume job in
+            let sv = search ~sim ~monitor ?resume job in
             cache_store job sv;
             sv
           end)
 
-let solve_job ~monitor ?progress job = solve ~sim:false ~monitor ?progress job
+let solve_job ~monitor job = solve ~sim:false ~monitor job
 
 let job_monitor ~monitor job =
   (* A job with its own node share solves under a child monitor, so
@@ -245,14 +245,14 @@ let span_args ?(extra = []) job =
    [job.queue] and a [job.solve] span tagged with its job id (and trace
    id when the run minted one); with tracing off the extra work is one
    atomic load. *)
-let run ~sim ~monitor ?progress ~t0 job =
+let run ~sim ~monitor ~t0 job =
   let queue_wait_s = Obs.Clock.elapsed_s t0 in
   let bmon = job_monitor ~monitor job in
   Obs.Recorder.emit_ambient
     (Obs.Events.Block_start { id = job.j_id; size = job.j_size });
   let solve_start_ns = Obs.Clock.now_ns () in
   let sv, solve_s =
-    Obs.Clock.time (fun () -> solve ~sim ~monitor:bmon ?progress job)
+    Obs.Clock.time (fun () -> solve ~sim ~monitor:bmon job)
   in
   (match Obs.Span.installed () with
   | None -> ()
@@ -281,15 +281,14 @@ let run ~sim ~monitor ?progress ~t0 job =
        });
   { o_job = job.j_id; o_solved = sv; o_queue_wait_s = queue_wait_s; o_solve_s = solve_s }
 
-let run_job ~monitor ?progress ~t0 job =
-  run ~sim:false ~monitor ?progress ~t0 job
+let run_job ~monitor ~t0 job = run ~sim:false ~monitor ~t0 job
 
 (* --- In-process backends: the calling domain, or a Domain_pool --- *)
 
-let in_process ~name ~sim ~capacity ~monitor ?progress () =
+let in_process ~name ~sim ~capacity ~monitor () =
   let capacity = Int.max 1 capacity in
   let t0 = Obs.Clock.counter () in
-  let run_job job = run ~sim ~monitor ?progress ~t0 job in
+  let run_job job = run ~sim ~monitor ~t0 job in
   if capacity = 1 then
     (* Jobs run eagerly at submission, in submission order — exactly the
        sequential schedule, with no domain spawned. *)
@@ -317,8 +316,8 @@ let in_process ~name ~sim ~capacity ~monitor ?progress () =
     }
   end
 
-let local ~capacity ~monitor ?progress () =
-  in_process ~name:"local" ~sim:false ~capacity ~monitor ?progress ()
+let local ~capacity ~monitor () =
+  in_process ~name:"local" ~sim:false ~capacity ~monitor ()
 
 (* The discrete-event simulator is single-threaded, so the sim backend
    runs its jobs eagerly, in submission order. *)

@@ -133,8 +133,7 @@ val set_cache_hook : cache_hook option -> unit
 
 (** {2 Shared execution core} *)
 
-val solve_job :
-  monitor:Budget.monitor -> ?progress:Obs.Progress.t -> job -> solved
+val solve_job : monitor:Budget.monitor -> job -> solved
 (** Solve one job in the calling domain under [monitor] — the one
     search both the in-process backends and a remote worker run.  No
     events, no timing: callers wrap it.  Consults the installed
@@ -145,21 +144,14 @@ val job_monitor : monitor:Budget.monitor -> job -> Budget.monitor
 (** The monitor a job solves under: [monitor] itself, or a
     {!Budget.sub} child enforcing [j_node_share]. *)
 
-val run_job :
-  monitor:Budget.monitor ->
-  ?progress:Obs.Progress.t ->
-  t0:Obs.Clock.counter ->
-  job ->
-  outcome
+val run_job : monitor:Budget.monitor -> t0:Obs.Clock.counter -> job -> outcome
 (** {!solve_job} plus the executor envelope: node-share sub-monitor,
     [Block_start]/[Block_finish] events, queue-wait (measured from
     [t0]) and solve timing. *)
 
 (** {2 Backends} *)
 
-val local :
-  capacity:int -> monitor:Budget.monitor -> ?progress:Obs.Progress.t ->
-  unit -> t
+val local : capacity:int -> monitor:Budget.monitor -> unit -> t
 (** In-process executor.  [capacity = 1] runs each job in the calling
     domain at submission time (the sequential schedule, no spawns);
     larger capacities run jobs over a [Parbnb.Domain_pool] in

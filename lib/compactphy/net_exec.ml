@@ -78,7 +78,6 @@ type coord = {
   listen_fd : Unix.file_descr;
   port : int;
   monitor : Budget.monitor;
-  progress : Obs.Progress.t option;
   job_timeout_s : float option;
   fallback_after_s : float;
   max_retries : int;
@@ -380,6 +379,9 @@ let reader co c () =
     | Ok (Wire.Heartbeat { job_id = _; expanded; now_ns; proc }) ->
         note_clock c ~worker_now_ns:now_ns;
         note_proc c proc;
+        (* A remote heartbeat carries only the expansion count: NaN
+           bounds read as unknown (top prints "-"), where 0 would pass
+           for an incumbent. *)
         Obs.Recorder.emit_ambient
           (Obs.Events.Heartbeat
              {
@@ -387,8 +389,8 @@ let reader co c () =
                expanded;
                pruned = 0;
                open_nodes = 0;
-               ub = 0.;
-               lb = 0.;
+               ub = Float.nan;
+               lb = Float.nan;
              });
         loop ()
     | Ok (Wire.Result { job_id; solved; trace }) ->
@@ -543,8 +545,7 @@ let fallback_runner co () =
     | None -> ()
     | Some p ->
         (match
-           Executor.run_job ~monitor:co.monitor ?progress:co.progress
-             ~t0:co.t0 p.p_job
+           Executor.run_job ~monitor:co.monitor ~t0:co.t0 p.p_job
          with
         | o -> fill p (Done o)
         | exception e -> fill p (Failed e));
@@ -601,7 +602,7 @@ let shutdown co () =
   List.iter (fun th -> try Thread.join th with _ -> ()) ths
 
 let coordinator ?job_timeout_s ?(fallback_after_s = 10.) ?(max_retries = 2)
-    ~addr ~monitor ?progress () =
+    ~addr ~monitor () =
   ignore_sigpipe ();
   let host, port = addr_of addr "Net_exec.coordinator" in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -622,7 +623,6 @@ let coordinator ?job_timeout_s ?(fallback_after_s = 10.) ?(max_retries = 2)
       listen_fd = fd;
       port;
       monitor;
-      progress;
       job_timeout_s;
       fallback_after_s;
       max_retries;

@@ -44,7 +44,6 @@ val coordinator :
   ?max_retries:int ->
   addr:string ->
   monitor:Budget.monitor ->
-  ?progress:Obs.Progress.t ->
   unit ->
   Executor.t * int
 (** Bind [addr] (["HOST:PORT"]; port 0 for an ephemeral port), start the

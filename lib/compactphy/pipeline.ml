@@ -74,7 +74,6 @@ let effective_block_workers block_workers =
    bit-identical to the historical in-process pipeline; [Sim] is the
    discrete-event cluster; [Tcp] a real worker pool. *)
 let executor_for ~(config : Run_config.t) ~monitor ~n_jobs =
-  let progress = config.Run_config.progress in
   match config.Run_config.executor with
   | Executor.Local ->
       let capacity =
@@ -82,14 +81,14 @@ let executor_for ~(config : Run_config.t) ~monitor ~n_jobs =
           (effective_block_workers config.Run_config.block_workers)
           (Int.max 1 n_jobs)
       in
-      Executor.local ~capacity ~monitor ?progress ()
+      Executor.local ~capacity ~monitor ()
   | Executor.Sim -> Executor.sim ~monitor
   | Executor.Tcp ->
       let addr =
         (* validate guarantees the address is present and parseable *)
         Option.value ~default:"127.0.0.1:0" config.Run_config.workers_addr
       in
-      fst (Net_exec.coordinator ~addr ~monitor ?progress ())
+      fst (Net_exec.coordinator ~addr ~monitor ())
 
 (* Install (and share) the content-addressed sub-solve cache the
    configuration selects.  Jobs opt in per-run via [j_cache], so

@@ -74,10 +74,10 @@ val src : Logs.src
 
 val exact : ?config:Run_config.t -> ?resume:Bnb.Checkpoint.t -> Dist_matrix.t -> run
 (** Minimum ultrametric tree of the full matrix — the configuration's
-    [solver] options, [workers] (1 = sequential, more = the
-    domain-parallel solver) and [progress] sink apply; the decomposition
-    fields are ignored.  The run manifest embeds the full configuration
-    under ["config"].
+    [solver] options and [workers] (1 = sequential, more = the
+    domain-parallel solver) apply; the decomposition fields are
+    ignored.  The run manifest embeds the full configuration under
+    ["config"].
 
     The configuration's budget fields ([deadline_s] / [max_nodes] /
     [cancel]) bound the solve; an exhausted run returns its incumbent

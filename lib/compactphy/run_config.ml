@@ -6,7 +6,6 @@ type t = {
   relaxation : float option;
   workers : int;
   block_workers : int;
-  progress : Obs.Progress.t option;
   deadline_s : float option;
   max_nodes : int option;
   cancel : bool Atomic.t option;
@@ -24,7 +23,6 @@ let default =
     relaxation = None;
     workers = 1;
     block_workers = 1;
-    progress = None;
     deadline_s = None;
     max_nodes = None;
     cancel = None;
@@ -52,7 +50,6 @@ let with_linkage linkage c = { c with linkage }
 let with_relaxation r c = { c with relaxation = Some r }
 let with_workers workers c = { c with workers }
 let with_block_workers block_workers c = { c with block_workers }
-let with_progress p c = { c with progress = Some p }
 let with_deadline d c = { c with deadline_s = Some d }
 let with_max_nodes cap c = { c with max_nodes = Some cap }
 let with_cancel flag c = { c with cancel = Some flag }

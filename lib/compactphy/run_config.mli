@@ -4,9 +4,9 @@ open Import
 
     The pipeline entry points historically took a growing pile of
     optional arguments ([?options ?linkage ?relaxation ?workers
-    ?block_workers ?progress]); this module packages them as a single
-    validated value so configurations can be named, passed around,
-    logged into run manifests and round-tripped through the CLI.
+    ?block_workers]); this module packages them as a single validated
+    value so configurations can be named, passed around, logged into
+    run manifests and round-tripped through the CLI.
 
     {[
       let cfg = Run_config.(default |> with_workers 4 |> with_linkage Avg) in
@@ -20,7 +20,6 @@ type t = {
       (** alpha-compact relaxation, [>= 1.]; [None] = exact compactness *)
   workers : int;  (** domains inside one branch-and-bound solve *)
   block_workers : int;  (** independent blocks solved concurrently *)
-  progress : Obs.Progress.t option;  (** live solver samples sink *)
   deadline_s : float option;
       (** whole-run wall-clock budget in seconds; [None] = unlimited *)
   max_nodes : int option;
@@ -58,8 +57,8 @@ type t = {
 val default : t
 (** Today's defaults: {!Solver.default_options} (incremental kernel),
     [Max] linkage, no relaxation, sequential ([workers = 1],
-    [block_workers = 1]), no progress sink, and no budget of any kind —
-    runs behave exactly as before this field existed. *)
+    [block_workers = 1]), and no budget of any kind — runs behave
+    exactly as before this field existed. *)
 
 val solver_options :
   ?lb:Solver.lb_kind ->
@@ -94,7 +93,6 @@ val with_linkage : Decompose.linkage -> t -> t
 val with_relaxation : float -> t -> t
 val with_workers : int -> t -> t
 val with_block_workers : int -> t -> t
-val with_progress : Obs.Progress.t -> t -> t
 val with_deadline : float -> t -> t
 val with_max_nodes : int -> t -> t
 val with_cancel : bool Atomic.t -> t -> t
@@ -150,7 +148,7 @@ val preset_names : (string * preset) list
     {!Executor.kind_names}. *)
 
 val to_json : t -> Obs.Json.t
-(** For run manifests: every field except [progress] and [cancel]
-    (runtime handles, not data).  [cache_max_bytes] and [run_id] are
+(** For run manifests: every field except [cancel] (a runtime handle,
+    not data).  [cache_max_bytes] and [run_id] are
     emitted only when set, keeping manifests from runs that never use
     them byte-identical to earlier releases. *)

@@ -1,13 +1,10 @@
 (* Search forensics: which bound pruned, at what depth, and how the
-   branching factor evolved.  Two levels mirror how the solvers use it:
-
-   - [cells] is a flat, single-writer record that lives inside each
-     run's [Bnb.Stats] — mutation is a plain array increment, so the
-     branch-and-bound inner loop pays (almost) nothing; cells merge by
-     element-wise addition exactly like the stats counters around them.
-   - [t] is the process-wide aggregate, sharded into per-domain atomic
-     cells like [Obs.Metrics], so concurrent block solves can flush
-     their cells without taking a lock.  Readers merge the shards. *)
+   branching factor evolved.  [cells] is a flat, single-writer record
+   that lives inside each run's [Bnb.Stats] — mutation is a plain array
+   increment, so the branch-and-bound inner loop pays (almost) nothing;
+   cells merge by element-wise addition exactly like the stats counters
+   around them.  The process-wide record is the [bnb.pruned.<reason>]
+   metrics the solver flushes at the end of each solve. *)
 
 type reason =
   | Incumbent
@@ -235,51 +232,3 @@ let pp_summary ppf c =
   done;
   if not !any then Format.fprintf ppf "  (no expansions recorded)@,";
   Format.fprintf ppf "@]"
-
-(* --- process-wide sharded aggregate --- *)
-
-let n_shards = 16 (* power of two, as in Metrics *)
-
-let shard () = (Domain.self () :> int) land (n_shards - 1)
-
-type t = {
-  s_prunes : int Atomic.t array array;  (* shard -> flat reason x depth *)
-  s_expanded : int Atomic.t array array;
-  s_generated : int Atomic.t array array;
-}
-
-let atomics n = Array.init n (fun _ -> Atomic.make 0)
-
-let create () =
-  {
-    s_prunes = Array.init n_shards (fun _ -> atomics (n_reasons * n_depth_buckets));
-    s_expanded = Array.init n_shards (fun _ -> atomics n_depth_buckets);
-    s_generated = Array.init n_shards (fun _ -> atomics n_depth_buckets);
-  }
-
-let default = create ()
-
-let flush ?(into = default) c =
-  let s = shard () in
-  let bump row i n = if n <> 0 then ignore (Atomic.fetch_and_add row.(i) n) in
-  Array.iteri (bump into.s_prunes.(s)) c.prunes;
-  Array.iteri (bump into.s_expanded.(s)) c.expanded;
-  Array.iteri (bump into.s_generated.(s)) c.generated
-
-let snapshot t =
-  let c = cells () in
-  let merge dst rows =
-    Array.iter (Array.iteri (fun i a -> dst.(i) <- dst.(i) + Atomic.get a)) rows
-  in
-  merge c.prunes t.s_prunes;
-  merge c.expanded t.s_expanded;
-  merge c.generated t.s_generated;
-  c
-
-let to_json t = cells_to_json (snapshot t)
-
-let reset t =
-  let zero rows = Array.iter (Array.iter (fun a -> Atomic.set a 0)) rows in
-  zero t.s_prunes;
-  zero t.s_expanded;
-  zero t.s_generated

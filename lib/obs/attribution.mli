@@ -6,15 +6,12 @@
     what insertion depth), which is what explains one run being slower
     than another.
 
-    Two levels:
-
-    - {!cells} — a flat, single-writer record embedded in each run's
-      [Bnb.Stats].  Recording is a plain array increment; cells merge by
-      element-wise addition ({!add_cells}), mirroring [Stats.add].
-    - {!t} — the process-wide aggregate, sharded into per-domain atomic
-      cells like {!Obs.Metrics} so concurrent solves {!flush} their
-      cells lock-free.  {!default} is what the CLI's [--metrics] /
-      [--explain] read. *)
+    {!cells} is a flat, single-writer record embedded in each run's
+    [Bnb.Stats].  Recording is a plain array increment; cells merge by
+    element-wise addition ({!add_cells}), mirroring [Stats.add].  Run
+    manifests and the CLI's [--explain] read a run's own cells; the
+    process-wide totals are the [bnb.pruned.<reason>] counters in
+    {!Metrics}, which the solvers add each finished solve's cells to. *)
 
 (** Why a subtree was discarded (or a search stopped). *)
 type reason =
@@ -94,22 +91,3 @@ val pp_summary : Format.formatter -> cells -> unit
 (** Human rendering: pruning reasons ranked by share, then the depth
     profile with average branching factors — the core of the CLI's
     [--explain] output. *)
-
-(** {1 Process-wide sharded aggregate} *)
-
-type t
-
-val create : unit -> t
-
-val default : t
-(** The process-wide instance the solvers flush into. *)
-
-val flush : ?into:t -> cells -> unit
-(** Lock-free: one [Atomic.fetch_and_add] per non-zero cell, on the
-    shard indexed by the calling domain. *)
-
-val snapshot : t -> cells
-(** Merged over shards. *)
-
-val to_json : t -> Json.t
-val reset : t -> unit

@@ -11,7 +11,6 @@ type kind =
   | Block_finish of { id : int; size : int; solve_s : float; status : string }
   | Run_start of { n : int; n_blocks : int }
   | Checkpoint_write of { path : string }
-  | Budget_tick of { nodes : int }
   | Budget_stop of { status : string }
   | Heartbeat of {
       worker : int;
@@ -28,7 +27,6 @@ let kind_name = function
   | Block_finish _ -> "block_finish"
   | Run_start _ -> "run_start"
   | Checkpoint_write _ -> "checkpoint_write"
-  | Budget_tick _ -> "budget_tick"
   | Budget_stop _ -> "budget_stop"
   | Heartbeat _ -> "heartbeat"
 
@@ -48,7 +46,6 @@ let kind_fields = function
   | Run_start { n; n_blocks } ->
       [ ("n", Json.Int n); ("n_blocks", Json.Int n_blocks) ]
   | Checkpoint_write { path } -> [ ("path", Json.String path) ]
-  | Budget_tick { nodes } -> [ ("nodes", Json.Int nodes) ]
   | Budget_stop { status } -> [ ("status", Json.String status) ]
   | Heartbeat { worker; expanded; pruned; open_nodes; ub; lb } ->
       [
@@ -96,7 +93,6 @@ let of_json j =
   | Some "run_start" ->
       Some (Run_start { n = int "n"; n_blocks = int "n_blocks" })
   | Some "checkpoint_write" -> Some (Checkpoint_write { path = str "path" })
-  | Some "budget_tick" -> Some (Budget_tick { nodes = int "nodes" })
   | Some "budget_stop" -> Some (Budget_stop { status = str "status" })
   | Some "heartbeat" ->
       Some

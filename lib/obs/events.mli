@@ -2,11 +2,11 @@
 
     Where {!Metrics} answers "how much, in aggregate", an event answers
     "what just happened": an incumbent improved, a compact-set block
-    started or finished, a checkpoint hit disk, a budget ticked or
-    tripped, a worker reported its counters.  Events serialise to flat
-    one-line JSON objects with a ["kind"] discriminant — the format both
-    the [/events] endpoint and the flight-recorder dump emit, and the
-    one [phylo top] reads back. *)
+    started or finished, a checkpoint hit disk, a budget tripped, a
+    worker reported its counters.  Events serialise to flat one-line
+    JSON objects with a ["kind"] discriminant — the format both the
+    [/events] endpoint and the flight-recorder dump emit, and the one
+    [phylo top] reads back. *)
 
 type kind =
   | Incumbent of { cost : float }
@@ -18,8 +18,6 @@ type kind =
   | Run_start of { n : int; n_blocks : int }
       (** a pipeline run began: problem size and block count *)
   | Checkpoint_write of { path : string }
-  | Budget_tick of { nodes : int }
-      (** rate-limited budget progress: expansions charged so far *)
   | Budget_stop of { status : string }  (** a budget tripped *)
   | Heartbeat of {
       worker : int;
@@ -28,7 +26,10 @@ type kind =
       open_nodes : int;
       ub : float;
       lb : float;
-    }  (** rate-limited per-worker liveness + search counters *)
+    }
+      (** rate-limited per-worker liveness + search counters; [ub]/[lb]
+          are NaN when the sender does not know them (a remote worker
+          reports only its expansion count) *)
 
 val kind_name : kind -> string
 (** The ["kind"] discriminant string. *)

@@ -78,12 +78,16 @@ let emit t ~now ~worker ~expanded ~pruned ~open_depth ~ub ~lb =
       flush oc;
       Mutex.unlock t.out_lock
 
-let sample t ~worker ~expanded ~pruned ~open_depth ~ub ~lb =
-  let now = Clock.now_ns () in
-  let due = Atomic.get t.next_due in
-  (* One clock read and one atomic load per call; the CAS makes sure a
-     single worker wins each tick, so samplers can sit in every
-     worker's inner loop. *)
-  if now >= due
-     && Atomic.compare_and_set t.next_due due (Int64.add now t.interval_ns)
-  then emit t ~now ~worker ~expanded ~pruned ~open_depth ~ub ~lb
+let observe t = function
+  | Events.Heartbeat { worker; expanded; pruned; open_nodes; ub; lb } ->
+      let now = Clock.now_ns () in
+      let due = Atomic.get t.next_due in
+      (* The CAS makes sure a single heartbeat wins each tick, so every
+         worker's heartbeats can feed one sink at one line per
+         interval. *)
+      if
+        now >= due
+        && Atomic.compare_and_set t.next_due due (Int64.add now t.interval_ns)
+      then
+        emit t ~now ~worker ~expanded ~pruned ~open_depth:open_nodes ~ub ~lb
+  | _ -> ()

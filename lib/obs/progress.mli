@@ -1,11 +1,13 @@
 (** Live progress reporting for long branch-and-bound solves.
 
-    A sampler ticker: solvers call {!sample} from their inner loops with
-    the current counters; at most one sample per [interval_s] is
-    emitted, either as a human-readable [Logs] line (level [info], source
-    ["obs.progress"]) or as one NDJSON object per line.  [sample] is
-    thread-safe and costs one monotonic-clock read plus one atomic load
-    when the tick is not due. *)
+    A consumer of the flight recorder's worker heartbeats: pass a [t]
+    to {!Recorder.create} and every event the recorder takes goes
+    through {!observe}.  At most one heartbeat per [interval_s] —
+    across all workers — is printed, either as a human-readable [Logs]
+    line (level [info], source ["obs.progress"]), as a status line on
+    stderr, or as one NDJSON object per line.  The solvers have no
+    sampler of their own for this: their one rate-limited call is
+    {!Recorder.sample}. *)
 
 val src : Logs.src
 
@@ -27,17 +29,12 @@ type t
 val create : ?interval_s:float -> ?sink:sink -> unit -> t
 (** [interval_s] defaults to 0.5 s. *)
 
-val sample :
-  t ->
-  worker:int ->
-  expanded:int ->
-  pruned:int ->
-  open_depth:int ->
-  ub:float ->
-  lb:float ->
-  unit
-(** Report the caller's current state; rate-limited internally.  [ub]
-    and [lb] may be infinite (reported gap is NaN). *)
+val observe : t -> Events.kind -> unit
+(** Print a {!Events.Heartbeat} when the interval is due; every other
+    kind is ignored.  Thread-safe: one clock read and one atomic load
+    per heartbeat, and a compare-and-set picks a single winner per
+    interval.  [ub] and [lb] may be infinite or NaN (reported gap is
+    NaN). *)
 
 val gap_pct : ub:float -> lb:float -> float
 (** Relative optimality gap in percent, NaN when undefined. *)

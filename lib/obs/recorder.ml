@@ -28,9 +28,10 @@ type t = {
   seq : int Atomic.t;  (* global sequence; first event gets 1 *)
   origin : int64;  (* monotonic ns at creation *)
   last_emit_ns : int64 Atomic.t;  (* 0 until the first event *)
+  progress : Progress.t option;  (* sees every event after it is stored *)
 }
 
-let create ?(capacity = 4096) () =
+let create ?(capacity = 4096) ?progress () =
   if capacity < n_shards then
     invalid_arg
       (Printf.sprintf "Obs.Recorder.create: capacity %d < %d shards" capacity
@@ -47,6 +48,7 @@ let create ?(capacity = 4096) () =
     seq = Atomic.make 0;
     origin = Clock.now_ns ();
     last_emit_ns = Atomic.make 0L;
+    progress;
   }
 
 let capacity t = t.shard_capacity * n_shards
@@ -64,7 +66,8 @@ let emit t kind =
   let shard = t.shards.(entry.domain land (n_shards - 1)) in
   let i = Atomic.fetch_and_add shard.next 1 in
   Atomic.set shard.slots.(i mod t.shard_capacity) (Some entry);
-  Atomic.set t.last_emit_ns now
+  Atomic.set t.last_emit_ns now;
+  match t.progress with None -> () | Some p -> Progress.observe p kind
 
 let last_seq t = Atomic.get t.seq
 
@@ -98,7 +101,6 @@ let ambient : t option Atomic.t = Atomic.make None
 let install t = Atomic.set ambient (Some t)
 let uninstall () = Atomic.set ambient None
 let installed () = Atomic.get ambient
-let enabled () = Atomic.get ambient <> None
 
 let emit_ambient kind =
   match Atomic.get ambient with None -> () | Some t -> emit t kind

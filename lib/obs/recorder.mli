@@ -7,18 +7,21 @@
     O(1) and allocation-light however far behind the readers are.
 
     Install one instance as the ambient recorder and the solvers emit
-    incumbent improvements, block lifecycles, budget ticks and worker
-    heartbeats into it; [/events] ({!Serve}) streams it, and
-    {!dump_flight} serialises the tail next to the Chrome trace when a
-    run dies (SIGINT, uncaught exception, budget stop).  With no
-    recorder installed every emit site is a single atomic load. *)
+    incumbent improvements, block lifecycles, budget stops and worker
+    heartbeats into it; [/events] ({!Serve}) streams it, a {!Progress}
+    sink prints its heartbeats, and {!dump_flight} serialises the tail
+    next to the Chrome trace when a run dies (SIGINT, uncaught
+    exception, budget stop).  With no recorder installed every emit
+    site is a single atomic load. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> ?progress:Progress.t -> unit -> t
 (** [capacity] (default 4096, at least 16) is split evenly over 16
     domain shards; a single-domain writer therefore keeps the last
-    [capacity/16] events.
+    [capacity/16] events.  [progress] is handed every emitted event
+    ({!Progress.observe}), which is how [--progress] reads the worker
+    heartbeats.
     @raise Invalid_argument when [capacity < 16]. *)
 
 val capacity : t -> int
@@ -29,7 +32,9 @@ type entry = { seq : int; t_s : float; domain : int; kind : Events.kind }
 
 val emit : t -> Events.kind -> unit
 (** Record one event: one [fetch_and_add] on the global sequence, one
-    on the shard cursor, one pointer store.  Never blocks. *)
+    on the shard cursor, one pointer store, then pass it to the
+    [progress] sink if there is one.  Never blocks, except that a
+    heartbeat the sink prints takes the sink's output lock. *)
 
 val last_seq : t -> int
 val dropped : t -> int
@@ -49,7 +54,6 @@ val heartbeat_staleness_s : t -> float option
 val install : t -> unit
 val uninstall : unit -> unit
 val installed : unit -> t option
-val enabled : unit -> bool
 
 val emit_ambient : Events.kind -> unit
 (** Emit into the installed recorder; a no-op (one atomic load) when

@@ -238,7 +238,6 @@ let apply_event st j =
               List.filter (fun (i, _) -> i <> id) st.running_blocks;
           }
       | Events.Checkpoint_write _ -> { st with checkpoints = st.checkpoints + 1 }
-      | Events.Budget_tick _ -> st
       | Events.Budget_stop { status } -> { st with budget_status = Some status }
       | Events.Heartbeat { worker; expanded; pruned; open_nodes; ub; lb } ->
           let row =

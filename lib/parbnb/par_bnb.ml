@@ -47,7 +47,16 @@ let publish shared cost tree =
   in
   lower ()
 
-let worker problem shared ~monitor ~node_share ~id ~progress () =
+(* Attribution mirrors the sequential solver: a prune whose node cost
+   already met the (racy, monotone) incumbent snapshot [u] is the
+   incumbent's; if its exact bound did, the LB1 suffix supplied the
+   margin; otherwise only the gap tolerance closed it. *)
+let lb_reason ~cost ~lb ~u =
+  if cost >= u then Obs.Attribution.Incumbent
+  else if lb >= u then Obs.Attribution.Lb1_suffix
+  else Obs.Attribution.Gap_tolerance
+
+let worker problem shared ~monitor ~node_share ~id () =
   let stats = Stats.create () in
   (* A per-worker node share is a [Budget.sub] child of the run monitor:
      it observes the parent's deadline, cancel flag and global cap while
@@ -67,15 +76,6 @@ let worker problem shared ~monitor ~node_share ~id ~progress () =
   let gap_scale = 1. +. gap in
   let stopped = ref false in
   let capped = ref false in
-  (* Attribution mirrors the sequential solver: a prune whose node cost
-     already met the (racy, monotone) incumbent snapshot is the
-     incumbent's; if its exact bound did, the LB1 suffix supplied the
-     margin; otherwise only the gap tolerance closed it. *)
-  let lb_reason ~cost ~lb ~u =
-    if cost >= u then Obs.Attribution.Incumbent
-    else if lb >= u then Obs.Attribution.Lb1_suffix
-    else Obs.Attribution.Gap_tolerance
-  in
   let process (node : Bb_tree.node) =
     let u = Atomic.get shared.ub in
     if node.lb *. gap_scale >= u then begin
@@ -133,13 +133,7 @@ let worker problem shared ~monitor ~node_share ~id ~progress () =
             (Obs.Recorder.sample rpulse ~worker:id
                ~expanded:stats.Stats.expanded ~pruned:stats.Stats.pruned
                ~open_nodes:olen ~ub:(Atomic.get shared.ub)
-               ~lb:node.Bb_tree.lb);
-          match progress with
-          | None -> ()
-          | Some p ->
-              Obs.Progress.sample p ~worker:id ~expanded:stats.Stats.expanded
-                ~pruned:stats.Stats.pruned ~open_depth:olen
-                ~ub:(Atomic.get shared.ub) ~lb:node.Bb_tree.lb
+               ~lb:node.Bb_tree.lb)
         end
   in
   let rec run () =
@@ -179,7 +173,7 @@ let worker problem shared ~monitor ~node_share ~id ~progress () =
   (stats, Strategy.Frontier.drain local)
 
 let solve ?(options = Solver.default_options) ?budget ?monitor ?resume
-    ?progress ?n_workers dm =
+    ?n_workers dm =
   let n_workers =
     match n_workers with
     | Some p ->
@@ -220,38 +214,14 @@ let solve ?(options = Solver.default_options) ?budget ?monitor ?resume
     Obs.Span.with_span "parbnb.solve"
       ~args:[ ("n", Obs.Json.Int n); ("workers", Obs.Json.Int n_workers) ]
       @@ fun () ->
+    let t_start = Obs.Clock.counter () in
     let report = Obs.Report.create "par_bnb" in
     Obs.Report.set report "n" (Obs.Json.Int n);
     Obs.Report.set report "n_workers" (Obs.Json.Int n_workers);
     let problem = Solver.prepare ~options dm in
     let stats = Stats.create () in
-    let start_nodes, ub_init, best_init =
-      match resume with
-      | None ->
-          ( [ Bb_tree.root problem.Solver.pm ],
-            problem.Solver.ub0,
-            Option.map
-              (fun t -> (problem.Solver.ub0, t))
-              problem.Solver.incumbent0 )
-      | Some (r : Solver.resume) ->
-          let nodes =
-            List.map
-              (fun (k, tree) ->
-                let cost = Utree.weight tree in
-                { Bb_tree.tree; k; cost; lb = cost +. problem.Solver.lb_extra.(k) })
-              r.Solver.r_frontier
-          in
-          if r.Solver.r_ub < problem.Solver.ub0 then
-            ( nodes,
-              r.Solver.r_ub,
-              Option.map (fun t -> (r.Solver.r_ub, t)) r.Solver.r_incumbent )
-          else
-            ( nodes,
-              problem.Solver.ub0,
-              Option.map
-                (fun t -> (problem.Solver.ub0, t))
-                problem.Solver.incumbent0 )
-    in
+    let start_nodes, ub_init, incumbent = Solver.start problem resume in
+    let best_init = Option.map (fun t -> (ub_init, t)) incumbent in
     let shared =
       {
         ub = Atomic.make ub_init;
@@ -289,9 +259,7 @@ let solve ?(options = Solver.default_options) ?budget ?monitor ?resume
           if nd.Bb_tree.lb *. gap_scale >= u then begin
             stats.Stats.pruned <- stats.Stats.pruned + 1;
             Obs.Attribution.prune stats.Stats.att
-              (if nd.Bb_tree.cost >= u then Obs.Attribution.Incumbent
-               else if nd.Bb_tree.lb >= u then Obs.Attribution.Lb1_suffix
-               else Obs.Attribution.Gap_tolerance)
+              (lb_reason ~cost:nd.Bb_tree.cost ~lb:nd.Bb_tree.lb ~u)
               ~depth:nd.Bb_tree.k 1;
             widen rest
           end
@@ -326,7 +294,7 @@ let solve ?(options = Solver.default_options) ?budget ?monitor ?resume
       List.init n_workers (fun id ->
           Domain.spawn
             (worker problem shared ~monitor
-               ~node_share:options.Solver.max_expanded ~id ~progress))
+               ~node_share:options.Solver.max_expanded ~id))
     in
     let results = List.map Domain.join domains in
     let worker_stats = Array.of_list (List.map fst results) in
@@ -376,10 +344,10 @@ let solve ?(options = Solver.default_options) ?budget ?monitor ?resume
     Obs.Report.set report "status" (Budget.status_to_json status);
     Obs.Report.set report "lower_bound" (Obs.Json.Float lower_bound);
     Obs.Report.set report "certified_gap" (Obs.Json.Float certified_gap);
-    (* The merged per-worker cells feed the process-wide aggregate once
-       per parallel solve (the sequential path flushes in Solver.solve;
-       the n <= 2 fast path above went through it already). *)
-    Obs.Attribution.flush stats.Stats.att;
+    (* The merged per-worker stats feed the [bnb.*] metrics once per
+       parallel solve (the n <= 2 fast path above went through
+       Solver.solve, which records its own). *)
+    Solver.record_metrics stats (Obs.Clock.elapsed_s t_start);
     {
       tree;
       cost;

@@ -55,7 +55,6 @@ val solve :
   ?budget:Budget.t ->
   ?monitor:Budget.monitor ->
   ?resume:Solver.resume ->
-  ?progress:Obs.Progress.t ->
   ?n_workers:int ->
   Dist_matrix.t ->
   outcome
@@ -71,7 +70,11 @@ val solve :
     widens it to feed every worker).
 
     Telemetry: the solve runs under an [Obs.Span] named
-    ["parbnb.solve"]; with [progress], every worker feeds the sampler
-    (tagged by worker id) from its inner loop.
+    ["parbnb.solve"].  Each worker's inner loop has one sampler, an
+    {!Obs.Recorder.sample} pulse that emits heartbeats tagged by worker
+    id when a recorder is installed ([--progress] prints them).  The
+    merged stats reach the [bnb.*] metrics once per solve through
+    {!Solver.record_metrics}, so parallel solves are counted there
+    just like sequential ones.
 
     @raise Invalid_argument on an empty matrix or [n_workers < 1]. *)

@@ -6,23 +6,25 @@ let exe =
   if Sys.file_exists "../bin/phylo_cli.exe" then "../bin/phylo_cli.exe"
   else "_build/default/bin/phylo_cli.exe"
 
-let matrix =
-  if Sys.file_exists "../data/hominoids.phy" then "../data/hominoids.phy"
-  else "data/hominoids.phy"
+let data name =
+  if Sys.file_exists ("../data/" ^ name) then "../data/" ^ name
+  else "data/" ^ name
 
-(* Run the CLI with stdout captured and stderr discarded; the exit
-   code and the captured output. *)
-let run args =
+let matrix = data "hominoids.phy"
+
+(* Run the CLI with stdout captured and stderr discarded (the other way
+   round with [~stderr:true]); the exit code and the captured output. *)
+let run ?(stderr = false) args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let r, w = Unix.pipe () in
   let env =
     Array.append [| "PAGER=cat"; "MANPAGER=cat"; "TERM=dumb" |]
       (Unix.environment ())
   in
+  let out, err = if stderr then (devnull, w) else (w, devnull) in
   let pid =
-    Unix.create_process_env exe
-      (Array.of_list (exe :: args))
-      env Unix.stdin w devnull
+    Unix.create_process_env exe (Array.of_list (exe :: args)) env Unix.stdin
+      out err
   in
   Unix.close w;
   Unix.close devnull;
@@ -120,6 +122,23 @@ let test_config_flags_apply () =
       [ "compare"; matrix; "--cache-max-bytes"; "100000"; "--linkage"; "avg" ];
     ]
 
+let test_progress_prints_heartbeats () =
+  (* --progress prints the flight recorder's heartbeats.  A worker
+     pulse's first call always emits one and the sink's first heartbeat
+     is always due, so the sequential and the parallel search loop each
+     print at least one line, however fast the solve. *)
+  List.iter
+    (fun j ->
+      let args =
+        [ "tree"; data "random20.phy"; "--method"; "exact"; "--progress";
+          "-j"; j ]
+      in
+      let code, err = run ~stderr:true args in
+      Alcotest.(check int) (String.concat " " args) 0 code;
+      Alcotest.(check bool) ("expanded= line with -j " ^ j) true
+        (Astring_contains.contains err "expanded="))
+    [ "1"; "2" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -131,5 +150,10 @@ let () =
             test_shared_config_flags;
           Alcotest.test_case "config flags apply" `Quick
             test_config_flags_apply;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "progress prints heartbeats" `Quick
+            test_progress_prints_heartbeats;
         ] );
     ]

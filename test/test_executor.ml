@@ -447,6 +447,20 @@ let test_heartbeats_reach_healthz () =
         (List.exists
            (function Obs.Events.Heartbeat _ -> true | _ -> false)
            kinds);
+      (* Every block solved remotely, and a remote heartbeat knows no
+         bounds: it carries NaN, never a fabricated 0 incumbent.  (The
+         worker threads share this process, so their solvers' own
+         heartbeats, with real bounds, are recorded too.) *)
+      let bounds =
+        List.filter_map
+          (function
+            | Obs.Events.Heartbeat { ub; lb; _ } -> Some (ub, lb) | _ -> None)
+          kinds
+      in
+      Alcotest.(check bool) "remote heartbeats carry NaN ub/lb" true
+        (List.exists (fun (ub, lb) -> Float.is_nan ub && Float.is_nan lb) bounds);
+      Alcotest.(check bool) "no heartbeat claims a 0 bound" false
+        (List.exists (fun (ub, lb) -> ub = 0. || lb = 0.) bounds);
       let target =
         Obs.Serve.Tcp ("127.0.0.1", Option.get (Obs.Serve.port srv))
       in

@@ -420,17 +420,21 @@ let test_attribution_reason_strings () =
     (Att.reason_of_string "bogus" = None)
 
 let test_attribution_flush_snapshot () =
-  let agg = Att.create () in
-  let c = Att.cells () in
-  Att.prune c Att.Incumbent ~depth:2 6;
-  Att.expand c ~depth:2 ~generated:3;
-  Att.flush ~into:agg c;
-  Att.flush ~into:agg c;
-  let snap = Att.snapshot agg in
-  Alcotest.(check int) "flushed twice" 12 (Att.total_prunes snap);
-  Alcotest.(check int) "expanded" 2 (Att.total_expanded snap);
-  Att.reset agg;
-  Alcotest.(check int) "reset" 0 (Att.total_prunes (Att.snapshot agg))
+  (* The bnb.* counters are the process-wide aggregate: recording the
+     same finished solve twice adds its stats and attribution twice. *)
+  let st = Stats.create () in
+  Att.prune st.Stats.att Att.Incumbent ~depth:2 6;
+  Att.expand st.Stats.att ~depth:2 ~generated:3;
+  st.Stats.expanded <- 1;
+  st.Stats.pruned <- 6;
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let incumbent0 = counter "bnb.pruned.incumbent"
+  and expanded0 = counter "bnb.expanded" in
+  Bnb.Solver.record_metrics st 0.001;
+  Bnb.Solver.record_metrics st 0.001;
+  Alcotest.(check int) "flushed twice" 12
+    (counter "bnb.pruned.incumbent" - incumbent0);
+  Alcotest.(check int) "expanded" 2 (counter "bnb.expanded" - expanded0)
 
 let test_attribution_bit_identity () =
   (* Acceptance criterion: recording attribution never changes the
@@ -527,7 +531,10 @@ let test_report_workers_accessor () =
       ()
   | _ -> Alcotest.fail "workers not returned in insertion order"
 
-(* --- Progress --- *)
+(* --- Progress: a consumer of recorder heartbeats --- *)
+
+let heartbeat ~worker ~expanded ~pruned ~open_nodes ~ub ~lb =
+  Obs.Events.Heartbeat { worker; expanded; pruned; open_nodes; ub; lb }
 
 let test_progress_ndjson () =
   let path = Filename.temp_file "obs_progress" ".ndjson" in
@@ -535,10 +542,12 @@ let test_progress_ndjson () =
   let p =
     Obs.Progress.create ~interval_s:0. ~sink:(Obs.Progress.Ndjson oc) ()
   in
-  Obs.Progress.sample p ~worker:0 ~expanded:10 ~pruned:2 ~open_depth:5
-    ~ub:100. ~lb:80.;
-  Obs.Progress.sample p ~worker:1 ~expanded:20 ~pruned:4 ~open_depth:3
-    ~ub:100. ~lb:90.;
+  Obs.Progress.observe p
+    (heartbeat ~worker:0 ~expanded:10 ~pruned:2 ~open_nodes:5 ~ub:100. ~lb:80.);
+  (* Only heartbeats are progress; other kinds pass through silently. *)
+  Obs.Progress.observe p (Obs.Events.Incumbent { cost = 100. });
+  Obs.Progress.observe p
+    (heartbeat ~worker:1 ~expanded:20 ~pruned:4 ~open_nodes:3 ~ub:100. ~lb:90.);
   close_out oc;
   let ic = open_in path in
   let lines = ref [] in
@@ -567,8 +576,8 @@ let test_progress_ndjson_parses_back () =
   let p =
     Obs.Progress.create ~interval_s:0. ~sink:(Obs.Progress.Ndjson oc) ()
   in
-  Obs.Progress.sample p ~worker:3 ~expanded:42 ~pruned:7 ~open_depth:5
-    ~ub:100. ~lb:75.;
+  Obs.Progress.observe p
+    (heartbeat ~worker:3 ~expanded:42 ~pruned:7 ~open_nodes:5 ~ub:100. ~lb:75.);
   close_out oc;
   let ic = open_in path in
   let line = input_line ic in
@@ -596,8 +605,8 @@ let test_progress_rate_limit () =
     Obs.Progress.create ~interval_s:3600. ~sink:(Obs.Progress.Ndjson oc) ()
   in
   for i = 1 to 100 do
-    Obs.Progress.sample p ~worker:0 ~expanded:i ~pruned:0 ~open_depth:1
-      ~ub:10. ~lb:1.
+    Obs.Progress.observe p
+      (heartbeat ~worker:0 ~expanded:i ~pruned:0 ~open_nodes:1 ~ub:10. ~lb:1.)
   done;
   close_out oc;
   let ic = open_in path in
@@ -617,7 +626,7 @@ let test_gap_pct () =
   Alcotest.(check bool) "inf ub" true
     (Float.is_nan (Obs.Progress.gap_pct ~ub:Float.infinity ~lb:3.))
 
-(* --- Solver integration: spans + progress from a real solve --- *)
+(* --- Solver integration: spans from a real solve --- *)
 
 let test_solver_emits_spans () =
   let m = Distmat.Gen.uniform_metric ~rng:(Random.State.make [| 5 |]) 8 in

@@ -88,6 +88,25 @@ let test_stats_merged () =
   let r = Par_bnb.solve ~n_workers:4 m in
   Alcotest.(check bool) "expanded > 0" true (r.Par_bnb.stats.Stats.expanded > 0)
 
+let test_parallel_feeds_metrics () =
+  (* A parallel solve adds its merged stats to the process-wide bnb.*
+     counters, like a sequential one: the counter deltas equal the
+     outcome's expansions and kernel-threshold prunes. *)
+  let m = Gen.uniform_metric ~rng:(rng 13) 10 in
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let expanded0 = counter "bnb.expanded"
+  and kernel0 = counter "bnb.pruned.kernel_threshold" in
+  let r = Par_bnb.solve ~n_workers:2 m in
+  let stats = r.Par_bnb.stats in
+  Alcotest.(check bool) "kernel pruned something" true
+    (Obs.Attribution.total stats.Stats.att Obs.Attribution.Kernel_threshold
+    > 0);
+  Alcotest.(check int) "bnb.expanded delta" stats.Stats.expanded
+    (counter "bnb.expanded" - expanded0);
+  Alcotest.(check int) "bnb.pruned.kernel_threshold delta"
+    (Obs.Attribution.total stats.Stats.att Obs.Attribution.Kernel_threshold)
+    (counter "bnb.pruned.kernel_threshold" - kernel0)
+
 let test_cap_reports_non_optimal () =
   let m = Gen.uniform_metric ~rng:(rng 14) 12 in
   let options = { Solver.default_options with max_expanded = Some 3 } in
@@ -327,6 +346,8 @@ let () =
             test_rejects_zero_workers;
           Alcotest.test_case "3-3 parallel" `Quick test_33_mode_parallel;
           Alcotest.test_case "stats merged" `Quick test_stats_merged;
+          Alcotest.test_case "feeds bnb metrics" `Quick
+            test_parallel_feeds_metrics;
           Alcotest.test_case "cap reports non-optimal" `Quick
             test_cap_reports_non_optimal;
         ] );

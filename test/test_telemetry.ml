@@ -36,7 +36,7 @@ let test_recorder_wraparound () =
      emitting 100 must retain the newest 2 and count 98 drops. *)
   let r = Obs.Recorder.create ~capacity:32 () in
   for i = 1 to 100 do
-    Obs.Recorder.emit r (Obs.Events.Budget_tick { nodes = i })
+    Obs.Recorder.emit r (Obs.Events.Incumbent { cost = float_of_int i })
   done;
   Alcotest.(check int) "last_seq" 100 (Obs.Recorder.last_seq r);
   Alcotest.(check int) "dropped" 98 (Obs.Recorder.dropped r);
@@ -87,7 +87,7 @@ let test_recorder_concurrent_domains () =
 let test_recorder_snapshot_since () =
   let r = Obs.Recorder.create ~capacity:64 () in
   for i = 1 to 10 do
-    Obs.Recorder.emit r (Obs.Events.Budget_tick { nodes = i })
+    Obs.Recorder.emit r (Obs.Events.Incumbent { cost = float_of_int i })
   done;
   Alcotest.(check int) "since filters" 3
     (List.length (Obs.Recorder.snapshot ~since:7 r))
@@ -484,8 +484,10 @@ let test_progress_status_line_plain () =
             ~sink:(Obs.Progress.Status_line { tty = false })
             ()
         in
-        Obs.Progress.sample p ~worker:0 ~expanded:10 ~pruned:5 ~open_depth:3
-          ~ub:4. ~lb:2.)
+        Obs.Progress.observe p
+          (Obs.Events.Heartbeat
+             { worker = 0; expanded = 10; pruned = 5; open_nodes = 3; ub = 4.;
+               lb = 2. }))
   in
   Alcotest.(check bool) "no escapes" false (contains ~affix:"\x1b" captured);
   Alcotest.(check bool) "no carriage returns" false
@@ -501,8 +503,10 @@ let test_progress_status_line_tty () =
             ~sink:(Obs.Progress.Status_line { tty = true })
             ()
         in
-        Obs.Progress.sample p ~worker:1 ~expanded:10 ~pruned:5 ~open_depth:3
-          ~ub:4. ~lb:2.)
+        Obs.Progress.observe p
+          (Obs.Events.Heartbeat
+             { worker = 1; expanded = 10; pruned = 5; open_nodes = 3; ub = 4.;
+               lb = 2. }))
   in
   Alcotest.(check bool) "rewrites in place" true
     (contains ~affix:"\r\x1b[2K" captured)
